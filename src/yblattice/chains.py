@@ -11,6 +11,12 @@ On a periodic chain the fixed left-to-right sweep of all flips is one
 transfer step.  The sweep order is a convention of this package; only the
 multiset of edge parameters is canonical, since flips merely permute it.
 
+Both operations share one engine, `_flip_into`, which flips a vertex of
+two plain lists in place.  `flip` copies the path, flips once and builds
+a new `PathState`; `transfer_step` copies once, runs all N flips on the
+same lists and validates the result once, so a sweep costs time linear
+in the period.
+
 Paths are abstract sequences.  Scalar vertices evolve by the basic lattice
 face equation, vector vertices by its multicomponent variant with the
 inner-product denominator; both come from `quadgraph.evolve_quad`.
@@ -61,6 +67,27 @@ def _face_system(components: int) -> QuadSystem:
     return QuadSystem.e1() if components == 1 else QuadSystem.vnls(components)
 
 
+def _flip_into(vertices: list, alphas: list, k: int, system: QuadSystem) -> None:
+    """Flip vertex k of a path held in two lists, in place.
+
+    One face update replaces vertices[k] and the two edge parameters
+    beside it swap.  Indices wrap around the ends, so callers pass an
+    interior k for an open path and any k in range for a periodic one.
+    """
+    data = QuadData(
+        vertices[k],
+        vertices[k - 1],
+        vertices[(k + 1) % len(vertices)],
+        alphas[k - 1],
+        alphas[k],
+    )
+    try:
+        vertices[k] = evolve_quad(system, data)
+    except SingularInput as err:
+        raise SingularInput(f"flip at vertex {k}: {err}") from err
+    alphas[k - 1], alphas[k] = alphas[k], alphas[k - 1]
+
+
 def flip(path: PathState, k: int) -> PathState:
     """Flip vertex k across the face of its neighbors, swapping its alphas.
 
@@ -72,26 +99,12 @@ def flip(path: PathState, k: int) -> PathState:
     n = len(path.vertices)
     if path.periodic:
         k %= n
-        prev_v, next_v = path.vertices[k - 1], path.vertices[(k + 1) % n]
-        prev_e, cur_e = (k - 1) % n, k
-    else:
-        if not 1 <= k <= n - 2:
-            raise IndexOutOfRange(
-                f"flip index {k} is not interior to a path of {n} vertices"
-            )
-        prev_v, next_v = path.vertices[k - 1], path.vertices[k + 1]
-        prev_e, cur_e = k - 1, k
-    data = QuadData(
-        path.vertices[k], prev_v, next_v, path.alphas[prev_e], path.alphas[cur_e]
-    )
-    try:
-        flipped = evolve_quad(_face_system(path.components()), data)
-    except SingularInput as err:
-        raise SingularInput(f"flip at vertex {k}: {err}") from err
-    vertices = list(path.vertices)
-    vertices[k] = flipped
-    alphas = list(path.alphas)
-    alphas[prev_e], alphas[cur_e] = alphas[cur_e], alphas[prev_e]
+    elif not 1 <= k <= n - 2:
+        raise IndexOutOfRange(
+            f"flip index {k} is not interior to a path of {n} vertices"
+        )
+    vertices, alphas = list(path.vertices), list(path.alphas)
+    _flip_into(vertices, alphas, k, _face_system(path.components()))
     return PathState(tuple(vertices), tuple(alphas), path.periodic)
 
 
@@ -126,13 +139,14 @@ def transfer_step(path: PathState) -> PathState:
     if not path.periodic:
         raise ValueError("transfer sweeps are defined on periodic chains")
     n = len(path.vertices)
-    state = path
+    vertices, alphas = list(path.vertices), list(path.alphas)
+    system = _face_system(path.components())
     for step in range(1, n + 1):
         try:
-            state = flip(state, step % n)
+            _flip_into(vertices, alphas, step % n, system)
         except SingularInput as err:
             raise SingularInput(f"sweep position {step}: {err}") from err
-    return state
+    return PathState(tuple(vertices), tuple(alphas), True)
 
 
 def random_path(

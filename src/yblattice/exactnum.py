@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ZeroSlope
@@ -40,8 +41,17 @@ def parse_rational(text: str) -> Rational:
 
 
 def format_rational(r: Rational) -> str:
-    """Canonical "p/q" form, "/q" omitted when the denominator is 1."""
-    return str(r)
+    """Canonical "p/q" form, "/q" omitted when the denominator is 1.
+
+    Integers beyond CPython's int-to-str digit limit (4,300 digits by
+    default), which grown chains reach, are written through `Decimal`,
+    whose conversion has no such limit.
+    """
+    try:
+        return str(r)
+    except ValueError:
+        num = str(Decimal(r.numerator))
+        return num if r.denominator == 1 else f"{num}/{Decimal(r.denominator)}"
 
 
 def sample_rational(seed: int, index: int, bound: int) -> Rational:

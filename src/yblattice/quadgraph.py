@@ -30,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from .errors import IncompatibleAction, SingularInput, ZeroScale
 from .exactnum import GammaPair, Rational
 
-Field = Union[Rational, tuple]
-EdgeParam = Union[Rational, GammaPair]
+Field = Rational | tuple
+EdgeParam = Rational | GammaPair
 
 
 class Family(Enum):

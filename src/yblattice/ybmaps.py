@@ -39,12 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from .errors import SingularInput
 from .exactnum import GammaPair, Rational
 
-MapParam = Union[Rational, GammaPair]
+MapParam = Rational | GammaPair
 
 
 class MapTag(Enum):

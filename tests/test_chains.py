@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -198,6 +199,35 @@ def test_transfer_period_two_stays_exact():
     # growth is polynomial: quadrupling the sweep count must not square
     # the size the way exponential growth would
     assert bits[-1] < 40 * max(bits[14], 1)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 7), st.sampled_from([1, 3]))
+def test_transfer_step_is_the_fold_of_its_flips(seed, period, components):
+    path = nonsingular_path(seed, period, periodic=True, components=components)
+    folded = path
+    try:
+        for step in range(1, period + 1):
+            folded = flip(folded, step)
+    except SingularInput as err:
+        with pytest.raises(SingularInput, match=re.escape(f"sweep position {step}: {err}")):
+            transfer_step(path)
+    else:
+        assert transfer_step(path) == folded
+    assert path == nonsingular_path(seed, period, periodic=True, components=components)
+
+
+def test_transfer_step_builds_one_path_state(monkeypatch):
+    path = nonsingular_path(5, 40, periodic=True)
+    built = []
+    validate = PathState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(PathState, "__post_init__", counting)
+    transfer_step(path)
+    assert len(built) == 1
 
 
 def test_transfer_singular_names_position():

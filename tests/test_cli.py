@@ -177,6 +177,19 @@ def test_simulate_braid_legs_agree():
     assert left.strip().split("\n")[-1] == right.strip().split("\n")[-1]
 
 
+def test_simulate_formats_values_past_the_int_digit_limit():
+    # by sweep 80 this chain's coefficients pass CPython's 4,300-digit
+    # int-to-str limit; the CSV must still be written in full
+    argv = ["simulate", "--period", "2", "--sweeps", "80", "--seed", "11", "--bound", "5"]
+    code, out, _ = run(argv)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 81
+    assert max(len(cell) for cell in lines[-1].split(",")) > 4300
+    _, shorter, _ = run(argv[:4] + ["70"] + argv[5:])
+    assert lines[:71] == shorter.strip().split("\n")
+
+
 def test_simulate_singular_emits_marker_and_fails():
     code, out, _ = run(
         [

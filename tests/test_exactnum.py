@@ -40,6 +40,14 @@ def test_format_is_canonical():
     assert format_rational(Fraction(0, 5)) == "0"
 
 
+def test_format_past_the_int_digit_limit():
+    # 5,000 digits is over CPython's default int-to-str limit of 4,300
+    big = 3 * 10**4999 + 1
+    assert format_rational(Fraction(big, 7)) == "3" + "0" * 4998 + "1/7"
+    assert format_rational(Fraction(-big)) == "-3" + "0" * 4998 + "1"
+    assert format_rational(Fraction(1, 10**5000)) == "1/1" + "0" * 5000
+
+
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=997))
 def test_format_parse_round_trip(r):
     assert parse_rational(format_rational(r)) == r
