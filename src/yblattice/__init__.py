@@ -1,6 +1,13 @@
 """Exact-arithmetic maps and lattice systems with a verification harness."""
 
-from .chains import PathState, check_braid, check_commutation, flip, transfer_step
+from .chains import (
+    PathState,
+    check_braid,
+    check_commutation,
+    check_flip_laws,
+    flip,
+    transfer_step,
+)
 from .exactnum import GammaPair, Rational, gamma_pair_from_slope, sample_rational
 from .lax import LaxMatrix, check_zero_curvature, lax_matrix, moebius_p1
 from .quadgraph import (
@@ -32,6 +39,7 @@ __all__ = [
     "flip",
     "check_braid",
     "check_commutation",
+    "check_flip_laws",
     "transfer_step",
     "LaxMatrix",
     "lax_matrix",

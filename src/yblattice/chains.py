@@ -5,17 +5,20 @@ The flip at an interior vertex replaces that vertex by the opposite corner
 of the face spanned by its two neighbors and swaps the two adjacent edge
 parameters; every other vertex and parameter is untouched.  Flips are exact
 involutions and satisfy braid and distant-commutation laws, verified
-pointwise by `check_braid` and `check_commutation`.
+pointwise by `check_braid` and `check_commutation`, and all at once on an
+open path by `check_flip_laws`.
 
 On a periodic chain the fixed left-to-right sweep of all flips is one
 transfer step.  The sweep order is a convention of this package; only the
 multiset of edge parameters is canonical, since flips merely permute it.
 
-Both operations share one engine, `_flip_into`, which flips a vertex of
+Every operation shares one engine, `_flip_into`, which flips a vertex of
 two plain lists in place.  `flip` copies the path, flips once and builds
 a new `PathState`; `transfer_step` copies once, runs all N flips on the
 same lists and validates the result once, so a sweep costs time linear
-in the period.
+in the period.  The flip-law checks apply words of flips to plain lists
+and remember each prefix, so every distinct flip is one face update and
+no intermediate state becomes a `PathState`.
 
 Paths are abstract sequences.  Scalar vertices evolve by the basic lattice
 face equation, vector vertices by its multicomponent variant with the
@@ -88,6 +91,17 @@ def _flip_into(vertices: list, alphas: list, k: int, system: QuadSystem) -> None
     alphas[k - 1], alphas[k] = alphas[k], alphas[k - 1]
 
 
+def _flip_index(path: PathState, k: int) -> int:
+    n = len(path.vertices)
+    if path.periodic:
+        return k % n
+    if not 1 <= k <= n - 2:
+        raise IndexOutOfRange(
+            f"flip index {k} is not interior to a path of {n} vertices"
+        )
+    return k
+
+
 def flip(path: PathState, k: int) -> PathState:
     """Flip vertex k across the face of its neighbors, swapping its alphas.
 
@@ -96,23 +110,44 @@ def flip(path: PathState, k: int) -> PathState:
     inner product in the denominator for vector fields.  On an open path k
     must be interior; on a periodic one any k is taken mod N.
     """
-    n = len(path.vertices)
-    if path.periodic:
-        k %= n
-    elif not 1 <= k <= n - 2:
-        raise IndexOutOfRange(
-            f"flip index {k} is not interior to a path of {n} vertices"
-        )
+    k = _flip_index(path, k)
     vertices, alphas = list(path.vertices), list(path.alphas)
     _flip_into(vertices, alphas, k, _face_system(path.components()))
     return PathState(tuple(vertices), tuple(alphas), path.periodic)
 
 
+def _flip_words(path: PathState):
+    """Lists (vertices, alphas) of the path after a word of flips, leftmost first.
+
+    Words take checked indices.  Each prefix is flipped once and
+    remembered, so words that share a prefix share its face updates.
+    """
+    system = _face_system(path.components())
+    memo = {(): (list(path.vertices), list(path.alphas))}
+
+    def after(word: tuple) -> tuple:
+        if word not in memo:
+            vertices, alphas = (list(x) for x in after(word[:-1]))
+            _flip_into(vertices, alphas, word[-1], system)
+            memo[word] = (vertices, alphas)
+        return memo[word]
+
+    return after
+
+
+def _braid_holds(after, j: int, k: int) -> bool:
+    return after((k, j, k)) == after((j, k, j))
+
+
+def _commutes(after, i: int, j: int) -> bool:
+    return after((i, j)) == after((j, i))
+
+
 def check_braid(path: PathState, j: int) -> bool:
     """Exact equality of the two triple-flip orders at adjacent vertices j, j+1."""
-    lhs = flip(flip(flip(path, j + 1), j), j + 1)
-    rhs = flip(flip(flip(path, j), j + 1), j)
-    return lhs == rhs
+    return _braid_holds(
+        _flip_words(path), _flip_index(path, j), _flip_index(path, j + 1)
+    )
 
 
 def _flip_distance(path: PathState, i: int, j: int) -> int:
@@ -127,7 +162,27 @@ def check_commutation(path: PathState, i: int, j: int) -> bool:
     """Exact equality of the two orders of flips at distant vertices i, j."""
     if _flip_distance(path, i, j) <= 1:
         raise BadIndices(f"flips at {i} and {j} share stencil edges")
-    return flip(flip(path, i), j) == flip(flip(path, j), i)
+    return _commutes(_flip_words(path), _flip_index(path, i), _flip_index(path, j))
+
+
+def check_flip_laws(path: PathState) -> bool:
+    """All flip laws at once on an open path, exactly.
+
+    Every interior flip is an involution, adjacent flips satisfy the braid
+    law and flips two or more vertices apart commute.  Each distinct flip
+    is one face update; every leg is evaluated, so a singular face raises
+    SingularInput even when another leg has already failed.
+    """
+    if path.periodic:
+        raise ValueError("flip laws are checked on open paths")
+    after = _flip_words(path)
+    interior = range(1, len(path.vertices) - 1)
+    verdicts = [after((k, k)) == after(()) for k in interior]
+    verdicts += [_braid_holds(after, j, j + 1) for j in interior[:-1]]
+    verdicts += [
+        _commutes(after, i, j) for i in interior for j in interior if j >= i + 2
+    ]
+    return all(verdicts)
 
 
 def transfer_step(path: PathState) -> PathState:

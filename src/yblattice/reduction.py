@@ -38,7 +38,8 @@ class SquareSolution:
     """One face with all four corners filled in, satisfying the face equation.
 
     f12 is determined by (f, f1, f2) and the edge parameters; it is stored
-    but validated on construction, so every instance is a solution.
+    but validated on construction, so every instance is a solution.  `solve`
+    computes f12 from the face equation itself, so it skips that check.
     """
 
     system: QuadSystem
@@ -67,7 +68,11 @@ class SquareSolution:
         beta2: EdgeParam,
     ) -> "SquareSolution":
         f12 = evolve_quad(system, QuadData(f, f1, f2, beta1, beta2))
-        return cls(system, f, f1, f2, beta1, beta2, f12)
+        square = object.__new__(cls)
+        square.__dict__.update(
+            system=system, f=f, f1=f1, f2=f2, beta1=beta1, beta2=beta2, f12=f12
+        )
+        return square
 
 
 def parent_system(map_id: MapId) -> QuadSystem:

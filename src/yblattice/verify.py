@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .chains import PathState, check_braid, check_commutation, flip, random_path
+from .chains import PathState, check_flip_laws, random_path
 from .errors import RetryBudgetExhausted, SingularInput
 from .exactnum import (
     GammaPair,
@@ -179,6 +179,8 @@ def _encode(value):
     """Recursive dump of sampled inputs with rationals as "p/q" strings."""
     if isinstance(value, Fraction):
         return format_rational(value)
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     if isinstance(value, YBPoint):
@@ -263,11 +265,7 @@ def _case_yb(map_id: MapId, corrupt: bool, first=None):
         z = _draw_point(map_id, stream)
         t = TripleState(x, y, z, b1, b2, b3)
         ok = check_yb_relation(map_id, t, corrupt=corrupt)
-        dump = {
-            "x": _encode(x), "y": _encode(y), "z": _encode(z),
-            "beta1": _encode(b1), "beta2": _encode(b2), "beta3": _encode(b3),
-        }
-        return ok, dump
+        return ok, {"x": x, "y": y, "z": z, "beta1": b1, "beta2": b2, "beta3": b3}
 
     return run
 
@@ -278,11 +276,7 @@ def _case_unitarity(map_id: MapId, corrupt: bool, first=None):
         x = _draw_point(map_id, stream)
         y = _draw_point(map_id, stream)
         ok = check_unitarity(map_id, x, y, b1, b2, corrupt=corrupt)
-        dump = {
-            "x": _encode(x), "y": _encode(y),
-            "beta1": _encode(b1), "beta2": _encode(b2),
-        }
-        return ok, dump
+        return ok, {"x": x, "y": y, "beta1": b1, "beta2": b2}
 
     return run
 
@@ -295,12 +289,11 @@ def _case_consistency(system: QuadSystem, corrupt: bool, first=None):
         f2 = _draw_field_point(system, stream)
         f3 = _draw_field_point(system, stream)
         report = check_consistency_3d(system, f, f1, f2, f3, b1, b2, b3)
-        dump = {
-            "f": _encode(f), "f1": _encode(f1), "f2": _encode(f2),
-            "f3": _encode(f3),
-            "beta1": _encode(b1), "beta2": _encode(b2), "beta3": _encode(b3),
+        drawn = {
+            "f": f, "f1": f1, "f2": f2, "f3": f3,
+            "beta1": b1, "beta2": b2, "beta3": b3,
         }
-        return report.consistent, dump
+        return report.consistent, drawn
 
     return run
 
@@ -311,19 +304,7 @@ _PATH_VERTICES = 8
 def _case_braid(components: int, corrupt: bool):
     def run(stream: RationalStream):
         path = random_path(stream, _PATH_VERTICES, components=components)
-        last = len(path.vertices) - 2
-        ok = True
-        for k in range(1, last + 1):
-            if flip(flip(path, k), k) != path:
-                ok = False
-        for j in range(1, last):
-            if not check_braid(path, j):
-                ok = False
-        for i in range(1, last + 1):
-            for j in range(i + 2, last + 1):
-                if not check_commutation(path, i, j):
-                    ok = False
-        return ok, {"path": _encode(path)}
+        return check_flip_laws(path), {"path": path}
 
     return run
 
@@ -335,11 +316,7 @@ def _case_zero_curvature(map_id: MapId, corrupt: bool, first=None):
         y = _draw_point(map_id, stream)
         p, q = apply_map(map_id, x, y, b1, b2, corrupt=corrupt)
         ok = check_zero_curvature(x, y, p, q, b1, b2)
-        dump = {
-            "x": _encode(x), "y": _encode(y),
-            "beta1": _encode(b1), "beta2": _encode(b2),
-        }
-        return ok, dump
+        return ok, {"x": x, "y": y, "beta1": b1, "beta2": b2}
 
     return run
 
@@ -354,11 +331,7 @@ def _case_commuting_diagram(map_id: MapId, corrupt: bool, first=None):
         f2 = _draw_field_point(system, stream)
         square = SquareSolution.solve(system, f, f1, f2, b1, b2)
         ok = check_commuting_diagram(map_id, square, corrupt=corrupt)
-        dump = {
-            "f": _encode(f), "f1": _encode(f1), "f2": _encode(f2),
-            "beta1": _encode(b1), "beta2": _encode(b2),
-        }
-        return ok, dump
+        return ok, {"f": f, "f1": f1, "f2": f2, "beta1": b1, "beta2": b2}
 
     return run
 
@@ -375,12 +348,8 @@ def _case_functional_relations(map_id: MapId, corrupt: bool, first=None):
             p = YBPoint(tuple(c + 1 for c in p.first), p.second)
         residuals = functional_relation_residuals(map_id, x, y, p, q)
         ok = all(r == 0 for r in residuals)
-        dump = {
-            "x": _encode(x), "y": _encode(y),
-            "beta1": _encode(b1), "beta2": _encode(b2),
-            "residuals": _encode(residuals),
-        }
-        return ok, dump
+        drawn = {"x": x, "y": y, "beta1": b1, "beta2": b2, "residuals": residuals}
+        return ok, drawn
 
     return run
 
@@ -402,13 +371,11 @@ def _case_non_quadrirational(map_id: MapId, corrupt: bool, first=None):
             map_id, replace_block(x, block, replacement), y, b1, b2,
             corrupt=corrupt,
         )
-        dump = {
-            "x": _encode(x), "y": _encode(y),
-            "beta1": _encode(b1), "beta2": _encode(b2),
-            "replaced_block": block,
-            "replacement": _encode(replacement),
+        drawn = {
+            "x": x, "y": y, "beta1": b1, "beta2": b2,
+            "replaced_block": block, "replacement": replacement,
         }
-        return p2 == p, dump
+        return p2 == p, drawn
 
     return run
 
@@ -494,12 +461,12 @@ def sweep(
         if outcome is None:
             skipped += 1
             continue
-        ok, dump = outcome
+        ok, drawn = outcome
         valid += 1
         if ok:
             passed += 1
         elif first_failure is None:
-            first_failure = dump
+            first_failure = _encode(drawn)
     if valid == 0:
         raise RetryBudgetExhausted(
             f"no valid sample in {n} tries with budget {retry_budget}; "

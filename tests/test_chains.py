@@ -4,14 +4,18 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from yblattice import chains
 from yblattice.chains import (
     PathState,
     check_braid,
     check_commutation,
+    check_flip_laws,
     csv_header,
     csv_row,
     flip,
@@ -20,7 +24,7 @@ from yblattice.chains import (
 )
 from yblattice.errors import BadIndices, IndexOutOfRange, SingularInput
 from yblattice.exactnum import RationalStream
-from yblattice.quadgraph import FieldPoint
+from yblattice.quadgraph import FieldPoint, evolve_quad
 
 
 def scalar_path(us, vs, alphas, *, periodic=False) -> PathState:
@@ -164,6 +168,83 @@ def test_commutation_periodic_uses_cyclic_distance():
     with pytest.raises(BadIndices):
         check_commutation(path, 0, 5)
     assert check_commutation(path, 0, 3)
+
+
+def corrupted_face(system, data):
+    """The true face update with u12 shifted by one in every component."""
+    f = evolve_quad(system, data)
+    u = tuple(c + 1 for c in f.u) if isinstance(f.u, tuple) else f.u + 1
+    return FieldPoint(u, f.v)
+
+
+def flip_laws_by_fold(path: PathState) -> bool:
+    """Every flip law of an open path, folded from `flip` through PathState."""
+    interior = range(1, len(path.vertices) - 1)
+    verdicts = [flip(flip(path, k), k) == path for k in interior]
+    for j in interior[:-1]:
+        lhs = flip(flip(flip(path, j + 1), j), j + 1)
+        rhs = flip(flip(flip(path, j), j + 1), j)
+        verdicts.append(lhs == rhs)
+    for i in interior:
+        for j in range(i + 2, interior[-1] + 1):
+            verdicts.append(flip(flip(path, i), j) == flip(flip(path, j), i))
+    return all(verdicts)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(4, 9),
+    st.sampled_from([1, 3]),
+    st.sampled_from([1, 2, 10]),
+    st.booleans(),
+)
+def test_flip_laws_match_the_fold_of_flips(seed, count, components, bound, corrupt):
+    path = random_path(RationalStream(seed, bound), count, components=components)
+    face = corrupted_face if corrupt else evolve_quad
+    with mock.patch.object(chains, "evolve_quad", face):
+        try:
+            want = flip_laws_by_fold(path)
+        except SingularInput:
+            with pytest.raises(SingularInput):
+                check_flip_laws(path)
+            return
+        assert check_flip_laws(path) == want
+        for j in range(1, count - 2):
+            assert check_braid(path, j) == (
+                flip(flip(flip(path, j + 1), j), j + 1)
+                == flip(flip(flip(path, j), j + 1), j)
+            )
+        for j in range(3, count - 1):
+            assert check_commutation(path, 1, j) == (
+                flip(flip(path, 1), j) == flip(flip(path, j), 1)
+            )
+
+
+@pytest.mark.parametrize("components", [1, 3])
+def test_flip_laws_make_one_face_update_per_distinct_flip(monkeypatch, components):
+    built, faces = [], []
+    validate = PathState.__post_init__
+
+    def counting_state(self):
+        built.append(self)
+        validate(self)
+
+    def counting_face(system, data):
+        faces.append(data)
+        return evolve_quad(system, data)
+
+    monkeypatch.setattr(PathState, "__post_init__", counting_state)
+    monkeypatch.setattr(chains, "evolve_quad", counting_face)
+    path = random_path(RationalStream(3, 10), 8, components=components)
+    assert check_flip_laws(path)
+    # 6 flips, 6 flips back, 2 x 2 per adjacent pair, 2 per distant pair
+    assert len(faces) == 6 + 6 + 5 * 4 + 10 * 2 == 52
+    assert built == [path]
+
+
+def test_flip_laws_need_an_open_path():
+    with pytest.raises(ValueError):
+        check_flip_laws(nonsingular_path(2, 6, periodic=True))
 
 
 def test_transfer_requires_periodic():

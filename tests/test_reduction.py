@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from yblattice import reduction
 from yblattice.errors import SingularInput
 from yblattice.exactnum import RationalStream, gamma_pair_from_slope
-from yblattice.quadgraph import FieldPoint, QuadSystem
+from yblattice.quadgraph import FieldPoint, QuadSystem, evolve_quad
 from yblattice.reduction import (
     SquareSolution,
     check_commuting_diagram,
@@ -81,6 +82,27 @@ def test_solved_square_worked_example():
         Fraction(1),
     )
     assert s.f12 == FieldPoint(Fraction(-1), Fraction(12))
+
+
+def test_solve_evaluates_the_face_once(monkeypatch):
+    calls = []
+
+    def counting(system, data):
+        calls.append(data)
+        return evolve_quad(system, data)
+
+    monkeypatch.setattr(reduction, "evolve_quad", counting)
+    s = SquareSolution.solve(
+        QuadSystem.e1(),
+        FieldPoint(Fraction(3), Fraction(4)),
+        FieldPoint(Fraction(1), Fraction(7)),
+        FieldPoint(Fraction(9), Fraction(2)),
+        Fraction(5),
+        Fraction(1),
+    )
+    assert len(calls) == 1
+    # the solved square equals one built through the validating constructor
+    assert s == SquareSolution(s.system, s.f, s.f1, s.f2, s.beta1, s.beta2, s.f12)
 
 
 def test_invariants_worked_example():
