@@ -116,37 +116,37 @@ def flip(path: PathState, k: int) -> PathState:
     return PathState(tuple(vertices), tuple(alphas), path.periodic)
 
 
-def _flip_words(path: PathState):
-    """Lists (vertices, alphas) of the path after a word of flips, leftmost first.
+class _FlipWords(dict):
+    """Lists (vertices, alphas) of one path after a word of flips, leftmost first.
 
-    Words take checked indices.  Each prefix is flipped once and
-    remembered, so words that share a prefix share its face updates.
+    Keys are words of checked indices.  A missing word is its prefix
+    flipped once more, so words that share a prefix share its face
+    updates.
     """
-    system = _face_system(path.components())
-    memo = {(): (list(path.vertices), list(path.alphas))}
 
-    def after(word: tuple) -> tuple:
-        if word not in memo:
-            vertices, alphas = (list(x) for x in after(word[:-1]))
-            _flip_into(vertices, alphas, word[-1], system)
-            memo[word] = (vertices, alphas)
-        return memo[word]
+    def __init__(self, path: PathState) -> None:
+        super().__init__({(): (list(path.vertices), list(path.alphas))})
+        self.system = _face_system(path.components())
 
-    return after
-
-
-def _braid_holds(after, j: int, k: int) -> bool:
-    return after((k, j, k)) == after((j, k, j))
+    def __missing__(self, word: tuple) -> tuple:
+        vertices, alphas = (list(x) for x in self[word[:-1]])
+        _flip_into(vertices, alphas, word[-1], self.system)
+        self[word] = (vertices, alphas)
+        return vertices, alphas
 
 
-def _commutes(after, i: int, j: int) -> bool:
-    return after((i, j)) == after((j, i))
+def _braid_holds(after: _FlipWords, j: int, k: int) -> bool:
+    return after[k, j, k] == after[j, k, j]
+
+
+def _commutes(after: _FlipWords, i: int, j: int) -> bool:
+    return after[i, j] == after[j, i]
 
 
 def check_braid(path: PathState, j: int) -> bool:
     """Exact equality of the two triple-flip orders at adjacent vertices j, j+1."""
     return _braid_holds(
-        _flip_words(path), _flip_index(path, j), _flip_index(path, j + 1)
+        _FlipWords(path), _flip_index(path, j), _flip_index(path, j + 1)
     )
 
 
@@ -162,7 +162,7 @@ def check_commutation(path: PathState, i: int, j: int) -> bool:
     """Exact equality of the two orders of flips at distant vertices i, j."""
     if _flip_distance(path, i, j) <= 1:
         raise BadIndices(f"flips at {i} and {j} share stencil edges")
-    return _commutes(_flip_words(path), _flip_index(path, i), _flip_index(path, j))
+    return _commutes(_FlipWords(path), _flip_index(path, i), _flip_index(path, j))
 
 
 def check_flip_laws(path: PathState) -> bool:
@@ -175,9 +175,9 @@ def check_flip_laws(path: PathState) -> bool:
     """
     if path.periodic:
         raise ValueError("flip laws are checked on open paths")
-    after = _flip_words(path)
+    after = _FlipWords(path)
     interior = range(1, len(path.vertices) - 1)
-    verdicts = [after((k, k)) == after(()) for k in interior]
+    verdicts = [after[k, k] == after[()] for k in interior]
     verdicts += [_braid_holds(after, j, j + 1) for j in interior[:-1]]
     verdicts += [
         _commutes(after, i, j) for i in interior for j in interior if j >= i + 2

@@ -170,13 +170,6 @@ def test_commutation_periodic_uses_cyclic_distance():
     assert check_commutation(path, 0, 3)
 
 
-def corrupted_face(system, data):
-    """The true face update with u12 shifted by one in every component."""
-    f = evolve_quad(system, data)
-    u = tuple(c + 1 for c in f.u) if isinstance(f.u, tuple) else f.u + 1
-    return FieldPoint(u, f.v)
-
-
 def flip_laws_by_fold(path: PathState) -> bool:
     """Every flip law of an open path, folded from `flip` through PathState."""
     interior = range(1, len(path.vertices) - 1)
@@ -198,7 +191,9 @@ def flip_laws_by_fold(path: PathState) -> bool:
     st.sampled_from([1, 2, 10]),
     st.booleans(),
 )
-def test_flip_laws_match_the_fold_of_flips(seed, count, components, bound, corrupt):
+def test_flip_laws_match_the_fold_of_flips(
+    corrupted_face, seed, count, components, bound, corrupt
+):
     path = random_path(RationalStream(seed, bound), count, components=components)
     face = corrupted_face if corrupt else evolve_quad
     with mock.patch.object(chains, "evolve_quad", face):

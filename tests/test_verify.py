@@ -8,7 +8,7 @@ import pytest
 from yblattice import chains
 from yblattice.errors import RetryBudgetExhausted
 from yblattice.exactnum import gamma_pair_from_slope
-from yblattice.quadgraph import FieldPoint, QuadSystem, evolve_quad
+from yblattice.quadgraph import QuadSystem
 from yblattice.verify import (
     CORRUPTIBLE,
     Property,
@@ -171,13 +171,8 @@ def test_braid_sweep_covers_both_field_kinds():
 
 
 @pytest.mark.parametrize("system", [QuadSystem.e1(), QuadSystem.vnls(3)], ids=lambda s: s.label())
-def test_braid_sweep_fails_on_a_corrupted_face(monkeypatch, system):
-    def corrupted(system, data):
-        f = evolve_quad(system, data)
-        u = tuple(c + 1 for c in f.u) if isinstance(f.u, tuple) else f.u + 1
-        return FieldPoint(u, f.v)
-
-    monkeypatch.setattr(chains, "evolve_quad", corrupted)
+def test_braid_sweep_fails_on_a_corrupted_face(monkeypatch, corrupted_face, system):
+    monkeypatch.setattr(chains, "evolve_quad", corrupted_face)
     report = sweep(system, Property.BRAID, seed=7, n=20)
     assert report.samples_valid > 0
     assert report.samples_passed < report.samples_valid
