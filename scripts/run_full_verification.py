@@ -51,8 +51,6 @@ MAP_PROPERTIES = (
 def plan():
     for map_id in MAPS:
         for prop in MAP_PROPERTIES:
-            if prop is Property.NON_QUADRIRATIONAL and map_id.block_size() != 1:
-                continue
             yield map_id, prop
         if map_id.label() == "e1-shaded":
             yield map_id, Property.ZERO_CURVATURE

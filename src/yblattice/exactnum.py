@@ -5,9 +5,15 @@ instances (re-exported as `Rational`), always in canonical form (positive
 denominator, reduced).  Serialized form is "p/q" with "/q" omitted when the
 denominator is 1, which is exactly `str()` of a Fraction.
 
-Sampling is deterministic: `sample_rational(seed, index, bound)` depends
-only on its arguments, with no hidden global state, so any run with the
-same seed reproduces byte-for-byte.
+Sampling is deterministic: `sample_rational(seed, index, bound)` is a pure
+function of its arguments, so any run with the same seed reproduces
+byte-for-byte.  Every sweep restarts its stream at index 0, so the same
+values are asked for over and over; `sample_rational` remembers the first
+8,192 draws of each of the 4 most recently used (seed, bound) pairs.  The
+memo holds only values the draw itself returned, keyed by index, so no
+order or interleaving of draws can change a value.  At worst it holds
+4 x 8,192 `Fraction`s: about 3.7 MiB at bound 10, more only as far as the
+drawn integers are larger.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ZeroSlope
 
@@ -54,19 +61,47 @@ def format_rational(r: Rational) -> str:
         return num if r.denominator == 1 else f"{num}/{Decimal(r.denominator)}"
 
 
+# (seed, bound) pairs whose draws are remembered, and indices kept per pair
+_TABLES = 4
+_TABLE_ENTRIES = 8192
+
+
+@lru_cache(maxsize=_TABLES, typed=True)
+def _table(seed: int, bound: int) -> dict:
+    return {}
+
+
+def _draw(seed: int, index: int, bound: int) -> Rational:
+    rng = random.Random(f"{seed}:{index}:{bound}")
+    num = rng.randint(-bound, bound)
+    den = rng.randint(1, bound)
+    return Fraction(num, den)
+
+
 def sample_rational(seed: int, index: int, bound: int) -> Rational:
     """Deterministic rational with |numerator| <= bound, 1 <= denominator <= bound.
 
     Each (seed, index, bound) triple owns an independent generator, so
     samples can be drawn in any order.  Canonical reduction can only
     shrink numerator and denominator, so the bounds survive it.
+
+    Draws are remembered by index in one table per (seed, bound).  The
+    `_TABLES` most recently used tables are kept, each with its first
+    `_TABLE_ENTRIES` draws; a remembered draw returns the stored
+    `Fraction` without seeding a generator.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    rng = random.Random(f"{seed}:{index}:{bound}")
-    num = rng.randint(-bound, bound)
-    den = rng.randint(1, bound)
-    return Fraction(num, den)
+    if type(index) is not int:
+        # an int subclass would share its int's key but not its seed string
+        return _draw(seed, index, bound)
+    table = _table(seed, bound)
+    value = table.get(index)
+    if value is None:
+        value = _draw(seed, index, bound)
+        if len(table) < _TABLE_ENTRIES:
+            table[index] = value
+    return value
 
 
 @dataclass

@@ -281,7 +281,7 @@ def _case_unitarity(map_id: MapId, corrupt: bool, first=None):
     return run
 
 
-def _case_consistency(system: QuadSystem, corrupt: bool, first=None):
+def _case_consistency(system: QuadSystem, first=None):
     def run(stream: RationalStream):
         b1, b2, b3 = _draw_params(_system_param_maker(system, stream), 3, False, first)
         f = _draw_field_point(system, stream)
@@ -301,7 +301,7 @@ def _case_consistency(system: QuadSystem, corrupt: bool, first=None):
 _PATH_VERTICES = 8
 
 
-def _case_braid(components: int, corrupt: bool):
+def _case_braid(components: int):
     def run(stream: RationalStream):
         path = random_path(stream, _PATH_VERTICES, components=components)
         return check_flip_laws(path), {"path": path}
@@ -401,11 +401,11 @@ def _resolve_case(target, prop: Property, corrupt: bool, first=None):
         raise ValueError(f"property {prop.value} has no corruption fixture")
     if prop is Property.CONSISTENCY_3D:
         system = target if isinstance(target, QuadSystem) else parent_system(target)
-        return _case_consistency(system, corrupt, first)
+        return _case_consistency(system, first)
     if prop is Property.BRAID:
         if first is not None:
             raise ValueError("property braid does not take a pinned parameter")
-        return _case_braid(_braid_components(target), corrupt)
+        return _case_braid(_braid_components(target))
     if not isinstance(target, MapId):
         raise ValueError(f"property {prop.value} needs a map id, not a family")
     if prop is Property.ZERO_CURVATURE:

@@ -125,6 +125,11 @@ class MapId:
         return self.n if self.tag is MapTag.VNLS else 1
 
 
+def _fractions(block) -> tuple:
+    # Fraction(c) of a Fraction builds a copy; keep the given object instead
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in block)
+
+
 @dataclass(frozen=True)
 class YBPoint:
     """Point with two equal-length blocks of rational components."""
@@ -133,8 +138,8 @@ class YBPoint:
     second: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "first", tuple(Fraction(c) for c in self.first))
-        object.__setattr__(self, "second", tuple(Fraction(c) for c in self.second))
+        object.__setattr__(self, "first", _fractions(self.first))
+        object.__setattr__(self, "second", _fractions(self.second))
         if len(self.first) != len(self.second):
             raise ValueError("blocks must have equal length")
         if not self.first:
@@ -149,10 +154,6 @@ class YBPoint:
         """The two components of a scalar point."""
         (a,), (b,) = self.first, self.second
         return a, b
-
-    @property
-    def components(self) -> tuple:
-        return self.first + self.second
 
 
 def _require_rational_params(map_id: MapId, b1: MapParam, b2: MapParam) -> None:
@@ -480,13 +481,6 @@ CATALOG: dict[MapTag, MapInfo] = {
 }
 
 _PRIMARY = {tag: info.multipliers[0] for tag, info in CATALOG.items()}
-
-# maps whose outputs are built from ratios/products of nonzero values;
-# generic sampling should draw nonzero components for these
-MULTIPLICATIVE = frozenset({
-    MapTag.E1_SHADED, MapTag.E1_BLANK, MapTag.E2,
-    MapTag.E4_EPS0_SCALING, MapTag.E5_DELTA1, MapTag.VNLS,
-})
 
 
 def map_multipliers(

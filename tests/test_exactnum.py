@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from yblattice import exactnum
 from yblattice.errors import ZeroSlope
 from yblattice.exactnum import (
     GammaPair,
@@ -65,6 +67,94 @@ def test_sample_is_deterministic_and_bounded(seed, index, bound):
 def test_sample_rejects_bad_bound():
     with pytest.raises(ValueError):
         sample_rational(1, 0, 0)
+
+
+def reference_draw(seed, index, bound):
+    """The string-seeded draw, without any memo."""
+    rng = random.Random(f"{seed}:{index}:{bound}")
+    num = rng.randint(-bound, bound)
+    den = rng.randint(1, bound)
+    return Fraction(num, den)
+
+
+@pytest.fixture
+def fresh_memo():
+    exactnum._table.cache_clear()
+    yield
+    exactnum._table.cache_clear()
+
+
+def remembered(keys) -> list:
+    """Sizes of the tables kept for these (seed, bound) keys, without adding one."""
+    misses = exactnum._table.cache_info().misses
+    sizes = [len(exactnum._table(*key)) for key in keys]
+    assert exactnum._table.cache_info().misses == misses
+    return sizes
+
+
+# six (seed, bound) keys, more than the tables kept; indices run past a
+# shrunken per-table limit and come in any order, repeats included
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 40), st.integers(1, 3)),
+        min_size=1,
+        max_size=200,
+    )
+)
+def test_remembered_draws_match_the_reference(draws):
+    exactnum._table.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactnum, "_TABLE_ENTRIES", 16)
+        for seed, index, bound in draws:
+            assert sample_rational(seed, index, bound) == reference_draw(seed, index, bound)
+    exactnum._table.cache_clear()
+
+
+def test_interleaved_streams_draw_the_reference_values(fresh_memo):
+    keys = [(seed, bound) for seed in (7, 8, 9) for bound in (2, 10)]
+    order = [(key, index) for index in range(300) for key in keys]
+    random.Random(0).shuffle(order)
+    for (seed, bound), index in order + order:
+        assert sample_rational(seed, index, bound) == reference_draw(seed, index, bound)
+
+
+def test_int_subclasses_do_not_share_an_ints_entry(fresh_memo):
+    sample_rational(1, 1, 10)
+    sample_rational(1, 2, 10)
+    assert sample_rational(True, 1, 10) == reference_draw(True, 1, 10)
+    assert sample_rational(1, True, 10) == reference_draw(1, True, 10)
+    assert reference_draw(True, 1, 10) != reference_draw(1, 1, 10)
+
+
+def test_memo_stays_within_its_limits(fresh_memo, monkeypatch):
+    monkeypatch.setattr(exactnum, "_TABLE_ENTRIES", 10)
+    for seed in range(12):
+        for index in range(25):
+            sample_rational(seed, index, 10)
+    assert exactnum._table.cache_info().currsize == exactnum._TABLES == 4
+    # the four newest keys are kept, each with its first ten draws
+    assert remembered([(seed, 10) for seed in range(8, 12)]) == [10] * 4
+
+
+def test_remembered_value_is_returned_as_stored(fresh_memo):
+    first = sample_rational(3, 17, 10)
+    assert sample_rational(3, 17, 10) is first
+
+
+def test_stream_calls_the_sampler_once_per_draw(fresh_memo, monkeypatch):
+    calls = []
+    draw = exactnum.sample_rational
+
+    def counting(seed, index, bound):
+        calls.append(index)
+        return draw(seed, index, bound)
+
+    monkeypatch.setattr(exactnum, "sample_rational", counting)
+    for _ in range(2):
+        stream = RationalStream(5, 10)
+        for _ in range(4):
+            stream.next()
+    assert calls == [0, 1, 2, 3] * 2
 
 
 def test_stream_walks_indices():

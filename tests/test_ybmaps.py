@@ -55,6 +55,14 @@ def draw_case(map_id: MapId, stream: RationalStream):
     return draw_point(map_id, stream), draw_point(map_id, stream), make(), make()
 
 
+def test_point_makes_fractions_and_keeps_given_ones():
+    a, b = Fraction(3, 4), Fraction(-5, 2)
+    point = YBPoint((a, 2), (True, b))
+    assert point == YBPoint((Fraction(3, 4), Fraction(2)), (Fraction(1), Fraction(-5, 2)))
+    assert [type(c) for c in point.first + point.second] == [Fraction] * 4
+    assert point.first[0] is a and point.second[1] is b
+
+
 X0 = YBPoint.of(Fraction(2), Fraction(1))
 Y0 = YBPoint.of(Fraction(3), Fraction(5))
 P0 = YBPoint.of(Fraction(9, 2), Fraction(10, 3))
