@@ -2,8 +2,6 @@
 
 from .chains import (
     PathState,
-    check_braid,
-    check_commutation,
     check_flip_laws,
     flip,
     transfer_step,
@@ -37,8 +35,6 @@ __all__ = [
     "apply_map",
     "PathState",
     "flip",
-    "check_braid",
-    "check_commutation",
     "check_flip_laws",
     "transfer_step",
     "LaxMatrix",

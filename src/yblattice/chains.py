@@ -4,9 +4,8 @@ A path state carries vertex values (u_j, v_j) and one parameter per edge.
 The flip at an interior vertex replaces that vertex by the opposite corner
 of the face spanned by its two neighbors and swaps the two adjacent edge
 parameters; every other vertex and parameter is untouched.  Flips are exact
-involutions and satisfy braid and distant-commutation laws, verified
-pointwise by `check_braid` and `check_commutation`, and all at once on an
-open path by `check_flip_laws`.
+involutions and satisfy braid and distant-commutation laws, all verified
+at once on an open path by `check_flip_laws`.
 
 On a periodic chain the fixed left-to-right sweep of all flips is one
 transfer step.  The sweep order is a convention of this package; only the
@@ -27,7 +26,7 @@ inner-product denominator; both come from `quadgraph.evolve_quad`.
 
 from __future__ import annotations
 
-from .errors import BadIndices, IndexOutOfRange, SingularInput
+from .errors import IndexOutOfRange, SingularInput
 from .exactnum import Rational, RationalStream, format_rational
 from .quadgraph import FieldPoint, QuadData, QuadSystem, evolve_quad
 
@@ -91,17 +90,6 @@ def _flip_into(vertices: list, alphas: list, k: int, system: QuadSystem) -> None
     alphas[k - 1], alphas[k] = alphas[k], alphas[k - 1]
 
 
-def _flip_index(path: PathState, k: int) -> int:
-    n = len(path.vertices)
-    if path.periodic:
-        return k % n
-    if not 1 <= k <= n - 2:
-        raise IndexOutOfRange(
-            f"flip index {k} is not interior to a path of {n} vertices"
-        )
-    return k
-
-
 def flip(path: PathState, k: int) -> PathState:
     """Flip vertex k across the face of its neighbors, swapping its alphas.
 
@@ -110,7 +98,13 @@ def flip(path: PathState, k: int) -> PathState:
     inner product in the denominator for vector fields.  On an open path k
     must be interior; on a periodic one any k is taken mod N.
     """
-    k = _flip_index(path, k)
+    n = len(path.vertices)
+    if path.periodic:
+        k %= n
+    elif not 1 <= k <= n - 2:
+        raise IndexOutOfRange(
+            f"flip index {k} is not interior to a path of {n} vertices"
+        )
     vertices, alphas = list(path.vertices), list(path.alphas)
     _flip_into(vertices, alphas, k, _face_system(path.components()))
     return PathState(tuple(vertices), tuple(alphas), path.periodic)
@@ -119,7 +113,7 @@ def flip(path: PathState, k: int) -> PathState:
 class _FlipWords(dict):
     """Lists (vertices, alphas) of one path after a word of flips, leftmost first.
 
-    Keys are words of checked indices.  A missing word is its prefix
+    Keys are words of interior indices.  A missing word is its prefix
     flipped once more, so words that share a prefix share its face
     updates.
     """
@@ -135,36 +129,6 @@ class _FlipWords(dict):
         return vertices, alphas
 
 
-def _braid_holds(after: _FlipWords, j: int, k: int) -> bool:
-    return after[k, j, k] == after[j, k, j]
-
-
-def _commutes(after: _FlipWords, i: int, j: int) -> bool:
-    return after[i, j] == after[j, i]
-
-
-def check_braid(path: PathState, j: int) -> bool:
-    """Exact equality of the two triple-flip orders at adjacent vertices j, j+1."""
-    return _braid_holds(
-        _FlipWords(path), _flip_index(path, j), _flip_index(path, j + 1)
-    )
-
-
-def _flip_distance(path: PathState, i: int, j: int) -> int:
-    if path.periodic:
-        n = len(path.vertices)
-        d = abs(i - j) % n
-        return min(d, n - d)
-    return abs(i - j)
-
-
-def check_commutation(path: PathState, i: int, j: int) -> bool:
-    """Exact equality of the two orders of flips at distant vertices i, j."""
-    if _flip_distance(path, i, j) <= 1:
-        raise BadIndices(f"flips at {i} and {j} share stencil edges")
-    return _commutes(_FlipWords(path), _flip_index(path, i), _flip_index(path, j))
-
-
 def check_flip_laws(path: PathState) -> bool:
     """All flip laws at once on an open path, exactly.
 
@@ -178,9 +142,9 @@ def check_flip_laws(path: PathState) -> bool:
     after = _FlipWords(path)
     interior = range(1, len(path.vertices) - 1)
     verdicts = [after[k, k] == after[()] for k in interior]
-    verdicts += [_braid_holds(after, j, j + 1) for j in interior[:-1]]
+    verdicts += [after[j + 1, j, j + 1] == after[j, j + 1, j] for j in interior[:-1]]
     verdicts += [
-        _commutes(after, i, j) for i in interior for j in interior if j >= i + 2
+        after[i, j] == after[j, i] for i in interior for j in interior if j >= i + 2
     ]
     return all(verdicts)
 

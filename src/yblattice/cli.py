@@ -14,13 +14,17 @@ import argparse
 import csv
 import io
 import sys
+from fractions import Fraction
 
 from .chains import csv_header, csv_row, flip, random_path, transfer_step
 from .errors import RetryBudgetExhausted, SingularInput, ZeroSlope
 from .exactnum import RationalStream, gamma_pair_from_slope, parse_rational
-from .quadgraph import Family, QuadSystem
-from .verify import Property, sweep
-from .ybmaps import CATALOG, MapId, MapTag
+from .quadgraph import FAMILY_SPECS, EdgeKind, QuadSystem
+from .verify import Property, sweep, target_system
+from .ybmaps import MAP_SPECS, MapId
+
+_MAP_TAGS = {tag.value: tag for tag in MAP_SPECS}
+_FAMILIES = {family.value: family for family in FAMILY_SPECS}
 
 
 class ConfigError(Exception):
@@ -89,12 +93,13 @@ def _flag_rational(text: str, flag: str):
         raise ConfigError(f"{flag}: {err}")
 
 
-def _parse_vnls_id(map_str: str, dim: int | None) -> int:
+def _parse_block_count(map_str: str, dim: int | None) -> int:
     """Block size from "vnls" / "vnls:<n>" plus the optional --dim flag."""
-    if map_str == "vnls":
+    if ":" not in map_str:
         return dim if dim is not None else 1
     suffix = map_str.split(":", 1)[1]
-    if not suffix.isdigit() or int(suffix) < 1:
+    # str.isdigit also accepts superscripts and other scripts' digits
+    if not (suffix.isascii() and suffix.isdigit()) or int(suffix) < 1:
         raise ConfigError(f"--map: bad block count in {map_str!r}")
     n = int(suffix)
     if dim is not None and dim != n:
@@ -102,79 +107,62 @@ def _parse_vnls_id(map_str: str, dim: int | None) -> int:
     return n
 
 
+def _id_params(extra: str | None, map_str: str, args, epsilon) -> dict:
+    """The id's extra parameter, from its ":<n>" suffix or its flag."""
+    if extra == "n":
+        return {"n": _parse_block_count(map_str, args.dim)}
+    if ":" in map_str:
+        raise ConfigError(f"--map: unknown id {map_str!r} (see list-maps)")
+    if extra == "epsilon":
+        return {"epsilon": epsilon if epsilon is not None else Fraction(1)}
+    if extra == "delta":
+        return {"delta": args.delta if args.delta is not None else 1}
+    return {}
+
+
 def _resolve_target(args):
-    """Map or family the sweep runs against, with flag scope checks."""
+    """Map or family the sweep runs against, with flag scope checks.
+
+    consistency-3d takes a family wherever the id names one; braid only
+    where the id names no map (e1).  Every other id is a map.
+    """
     map_str = args.map_id
     epsilon = (_flag_rational(args.epsilon, "--epsilon")
                if args.epsilon is not None else None)
     if args.dim is not None:
         _positive(args.dim, "--dim")
-
-    is_vnls = map_str == "vnls" or map_str.startswith("vnls:")
-    consistency = args.property == Property.CONSISTENCY_3D.value
-    if consistency:
-        # family-level target; epsilon and delta select the lattice
-        families = {
-            "e1": lambda: QuadSystem.e1(),
-            "e2": lambda: QuadSystem.e2(),
-            "e3": lambda: QuadSystem.e3(),
-            "e4": lambda: QuadSystem.e4(epsilon if epsilon is not None else 1),
-            "e5": lambda: QuadSystem.e5(args.delta if args.delta is not None else 1),
-        }
-        if map_str in families:
-            target = families[map_str]()
-        elif is_vnls:
-            target = QuadSystem.vnls(_parse_vnls_id(map_str, args.dim))
-        else:
-            target = _resolve_map(map_str, args, epsilon)
-    elif map_str == "e1" and args.property == Property.BRAID.value:
-        target = QuadSystem.e1()
+    name = map_str.split(":", 1)[0]
+    family = _FAMILIES.get(name)
+    if family is not None and (
+        args.property == Property.CONSISTENCY_3D.value
+        or (args.property == Property.BRAID.value and name not in _MAP_TAGS)
+    ):
+        extra = FAMILY_SPECS[family].extra
+        target = QuadSystem(family, **_id_params(extra, map_str, args, epsilon))
     else:
-        target = _resolve_map(map_str, args, epsilon)
+        tag = _MAP_TAGS.get(name)
+        if tag is None:
+            raise ConfigError(f"--map: unknown id {map_str!r} (see list-maps)")
+        extra = MAP_SPECS[tag].extra
+        target = MapId(tag, **_id_params(extra, map_str, args, epsilon))
     _check_flag_scope(args, target, epsilon)
     return target
 
 
-_PLAIN_MAPS = {
-    "e1-shaded": MapId.e1_shaded,
-    "e1-blank": MapId.e1_blank,
-    "e2": MapId.e2,
-    "e3": MapId.e3,
-    "e4-eps0-scaling": MapId.e4_eps0_scaling,
-    "e4-eps0-joint": MapId.e4_eps0_joint,
-    "e5": MapId.e5,
-}
-
-
-def _resolve_map(map_str: str, args, epsilon) -> MapId:
-    if map_str in _PLAIN_MAPS:
-        return _PLAIN_MAPS[map_str]()
-    if map_str == "e4":
-        return MapId.e4(epsilon if epsilon is not None else 1)
-    if map_str == "vnls" or map_str.startswith("vnls:"):
-        return MapId.vnls(_parse_vnls_id(map_str, args.dim))
-    raise ConfigError(f"--map: unknown id {map_str!r} (see list-maps)")
-
-
 def _check_flag_scope(args, target, epsilon) -> None:
-    tag = target.tag if isinstance(target, MapId) else None
-    family = target.family if isinstance(target, QuadSystem) else None
-    if epsilon is not None and not (
-        tag is MapTag.E4_GENERIC or family is Family.E4
-    ):
+    extra = target.spec.extra
+    if epsilon is not None and extra != "epsilon":
         raise ConfigError("--epsilon applies to map or family e4 only")
-    is_e5 = tag is MapTag.E5_DELTA1 or family is Family.E5
+    is_e5 = target_system(target).spec.edge is EdgeKind.GAMMA
     if args.delta is not None and not is_e5:
         raise ConfigError("--delta applies to e5 only")
-    if args.delta == 0 and tag is MapTag.E5_DELTA1:
+    if args.delta == 0 and isinstance(target, MapId):
         raise ConfigError(
             "--delta 0 is available for consistency-3d; the e5 map fixes delta 1"
         )
     if args.gamma_slope is not None and not is_e5:
         raise ConfigError("--gamma-slope applies to e5 only")
-    if args.dim is not None and not (
-        tag is MapTag.VNLS or family is Family.VNLS
-    ):
+    if args.dim is not None and extra != "n":
         raise ConfigError("--dim applies to vnls only")
 
 
@@ -182,9 +170,8 @@ def _pinned_param(args, target):
     if args.gamma_slope is None:
         return None
     slope = _flag_rational(args.gamma_slope, "--gamma-slope")
-    delta = target.delta if isinstance(target, QuadSystem) else 1
     try:
-        return gamma_pair_from_slope(slope, delta)
+        return gamma_pair_from_slope(slope, target_system(target).delta)
     except ZeroSlope as err:
         raise ConfigError(f"--gamma-slope: {err}")
 
@@ -295,13 +282,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_list_maps(args) -> int:
     lines = []
-    for info in CATALOG.values():
-        lines.append(info.label)
-        lines.append(f"  reduces: {info.parent}")
-        lines.append(f"  blocks: {info.blocks}")
-        lines.append(f"  parameters: {info.params}")
-        lines.append(f"  multipliers: {', '.join(info.multipliers)}")
-        lines.append(f"  {info.description}")
+    for spec in MAP_SPECS.values():
+        lines.append(spec.label)
+        lines.append(f"  reduces: {spec.reduces}")
+        lines.append(f"  blocks: {spec.blocks}")
+        lines.append(f"  parameters: {spec.params}")
+        lines.append(f"  multipliers: {', '.join(spec.multipliers)}")
+        lines.append(f"  {spec.description}")
     _write_out(None, "\n".join(lines))
     return 0
 

@@ -33,10 +33,6 @@ class IndexOutOfRange(IndexError):
     """Flip index does not address an interior vertex of an open path."""
 
 
-class BadIndices(ValueError):
-    """Index pair violates the distance condition of the commutation law."""
-
-
 class RetryBudgetExhausted(RuntimeError):
     """Sampling could not find enough nonsingular configurations.
 

@@ -17,6 +17,12 @@ carries edge parameters (beta, gamma) constrained by gamma^2 - beta^2 =
 delta with delta in {0, 1}.  VNLS(n) is an n-component analogue of E1
 where products become Euclidean inner products.
 
+Everything the code knows about one family sits in its `FamilySpec`
+record in `FAMILY_SPECS`: the face, what an edge parameter is, the
+family-level parameter, whether vertices are vectors and the admitted
+point symmetries.  Every function here reads the record; none branches
+on the family.
+
 `check_consistency_3d` tests the system around a cube in Z^3 through
 the configuration adapted to it: initial values on a staircase path of
 four vertices using all three lattice directions, deformed corner by
@@ -27,7 +33,8 @@ routes compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -47,26 +54,36 @@ class Family(Enum):
     VNLS = "vnls"
 
 
+class EdgeKind(Enum):
+    """What an edge parameter of a family is."""
+
+    RATIONAL = "rational"
+    NONZERO = "nonzero"      # a rational the face divides by
+    GAMMA = "gamma"          # a GammaPair on the system's conic
+
+
 @dataclass(frozen=True)
 class QuadSystem:
     """A lattice family together with its family-level parameters.
 
-    Exactly the parameters of the selected family may be present:
-    epsilon for E4, delta for E5, the component count n for VNLS.
+    Exactly the parameter named by the family's spec may be present:
+    epsilon for E4, delta for E5, the component count n for VNLS.  The
+    spec itself is looked up once, on construction.
     """
 
     family: Family
     epsilon: Rational | None = None
     delta: int | None = None
     n: int | None = None
+    spec: FamilySpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if (self.epsilon is not None) != (self.family is Family.E4):
-            raise ValueError("epsilon is set exactly for family E4")
-        if (self.delta is not None) != (self.family is Family.E5):
-            raise ValueError("delta is set exactly for family E5")
-        if (self.n is not None) != (self.family is Family.VNLS):
-            raise ValueError("n is set exactly for family VNLS")
+        spec = FAMILY_SPECS[self.family]
+        object.__setattr__(self, "spec", spec)
+        for name in ("epsilon", "delta", "n"):
+            if (getattr(self, name) is not None) != (spec.extra == name):
+                owner = next(f for f, s in FAMILY_SPECS.items() if s.extra == name)
+                raise ValueError(f"{name} is set exactly for family {owner.name}")
         if self.delta is not None and self.delta not in (0, 1):
             raise ValueError(f"delta must be 0 or 1, got {self.delta}")
         if self.n is not None and self.n < 1:
@@ -97,12 +114,12 @@ class QuadSystem:
         return cls(Family.VNLS, n=n)
 
     def label(self) -> str:
-        if self.family is Family.VNLS:
-            return f"vnls:{self.n}"
+        if self.spec.vector:
+            return f"{self.family.value}:{self.n}"
         return self.family.value
 
     def components(self) -> int:
-        return self.n if self.family is Family.VNLS else 1
+        return self.n if self.spec.vector else 1
 
 
 @dataclass(frozen=True)
@@ -146,17 +163,61 @@ def _dot(a: tuple, b: tuple) -> Rational:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _require_scalar_params(system: QuadSystem, b1: EdgeParam, b2: EdgeParam) -> None:
-    if isinstance(b1, GammaPair) or isinstance(b2, GammaPair):
-        raise ValueError(f"family {system.family.value} takes plain Rational edge parameters")
-
-
-def _require_gamma_params(system: QuadSystem, b1: EdgeParam, b2: EdgeParam) -> None:
+def _require_edge_params(system: QuadSystem, b1: EdgeParam, b2: EdgeParam) -> None:
+    if system.spec.edge is not EdgeKind.GAMMA:
+        if isinstance(b1, GammaPair) or isinstance(b2, GammaPair):
+            raise ValueError(
+                f"family {system.family.value} takes plain Rational edge parameters"
+            )
+        return
     for b in (b1, b2):
         if not isinstance(b, GammaPair):
-            raise ValueError("family e5 takes GammaPair edge parameters")
+            raise ValueError(f"family {system.family.value} takes GammaPair edge parameters")
         if b.delta != system.delta:
             raise ValueError(f"edge delta {b.delta} != system delta {system.delta}")
+
+
+# Scalar right-hand sides F(x; y, z) of the scalar families.  Each checks
+# its own denominators, so SingularInput names the vanishing expression.
+
+
+def _rhs_e1(system, x, y, z, b1, b2):
+    den = 1 - y * z
+    if den == 0:
+        raise SingularInput("1 - y*z")
+    return x + (b1 - b2) * y / den
+
+
+def _rhs_e2(system, x, y, z, b1, b2):
+    den = b2 + y * z
+    if den == 0:
+        raise SingularInput("b2 + y*z")
+    return x + (b2 - b1) * (y - x) / den
+
+
+def _rhs_e3(system, x, y, z, b1, b2):
+    den = y + z - b1
+    if den == 0:
+        raise SingularInput("y + z - b1")
+    return x + (b1 - b2) * (x + z) / den
+
+
+def _rhs_e4(system, x, y, z, b1, b2):
+    if b1 == 0:
+        raise SingularInput("b1")
+    if b2 == 0:
+        raise SingularInput("b2")
+    den = b2 * (x + z) + b1 * (y - x)
+    if den == 0:
+        raise SingularInput("b2*(x + z) + b1*(y - x)")
+    return x + (1 / b1 - 1 / b2) * (b1 * b2 * (x + z) * (y - x) - system.epsilon) / den
+
+
+def _rhs_e5(system, x, y, z, b1, b2):
+    den = (b1.beta - b2.beta) * x + b1.gamma * y + b2.gamma * z
+    if den == 0:
+        raise SingularInput("(b1 - b2)*x + g1*y + g2*z")
+    return ((b1.beta - b2.beta) * y * z + x * (b2.gamma * y + b1.gamma * z)) / den
 
 
 def quad_rhs(
@@ -173,42 +234,30 @@ def quad_rhs(
     b1, b2) and v_12 = F(v, v_2, u_1, b2, b1).  Raises SingularInput
     naming the vanishing denominator.
     """
-    family = system.family
-    if family is Family.E1:
-        _require_scalar_params(system, b1, b2)
-        den = 1 - y * z
-        if den == 0:
-            raise SingularInput("1 - y*z")
-        return x + (b1 - b2) * y / den
-    if family is Family.E2:
-        _require_scalar_params(system, b1, b2)
-        den = b2 + y * z
-        if den == 0:
-            raise SingularInput("b2 + y*z")
-        return x + (b2 - b1) * (y - x) / den
-    if family is Family.E3:
-        _require_scalar_params(system, b1, b2)
-        den = y + z - b1
-        if den == 0:
-            raise SingularInput("y + z - b1")
-        return x + (b1 - b2) * (x + z) / den
-    if family is Family.E4:
-        _require_scalar_params(system, b1, b2)
-        if b1 == 0:
-            raise SingularInput("b1")
-        if b2 == 0:
-            raise SingularInput("b2")
-        den = b2 * (x + z) + b1 * (y - x)
-        if den == 0:
-            raise SingularInput("b2*(x + z) + b1*(y - x)")
-        return x + (1 / b1 - 1 / b2) * (b1 * b2 * (x + z) * (y - x) - system.epsilon) / den
-    if family is Family.E5:
-        _require_gamma_params(system, b1, b2)
-        den = (b1.beta - b2.beta) * x + b1.gamma * y + b2.gamma * z
-        if den == 0:
-            raise SingularInput("(b1 - b2)*x + g1*y + g2*z")
-        return ((b1.beta - b2.beta) * y * z + x * (b2.gamma * y + b1.gamma * z)) / den
-    raise ValueError(f"{family} has no scalar right-hand side")
+    rhs = system.spec.rhs
+    if rhs is None:
+        raise ValueError(f"{system.family} has no scalar right-hand side")
+    _require_edge_params(system, b1, b2)
+    return rhs(system, x, y, z, b1, b2)
+
+
+def _scalar_face(system: QuadSystem, data: QuadData) -> FieldPoint:
+    f, f1, f2 = data.f, data.f1, data.f2
+    u12 = quad_rhs(system, f.u, f1.u, f2.v, data.beta1, data.beta2)
+    v12 = quad_rhs(system, f.v, f2.v, f1.u, data.beta2, data.beta1)
+    return FieldPoint(u12, v12)
+
+
+def _vnls_face(system: QuadSystem, data: QuadData) -> FieldPoint:
+    _require_edge_params(system, data.beta1, data.beta2)
+    f, f1, f2 = data.f, data.f1, data.f2
+    den = 1 - _dot(f1.u, f2.v)
+    if den == 0:
+        raise SingularInput("1 - u1.v2")
+    r = (data.beta1 - data.beta2) / den
+    u12 = tuple(u + r * u1 for u, u1 in zip(f.u, f1.u))
+    v12 = tuple(v - r * v2 for v, v2 in zip(f.v, f2.v))
+    return FieldPoint(u12, v12)
 
 
 def evolve_quad(system: QuadSystem, data: QuadData) -> FieldPoint:
@@ -217,19 +266,7 @@ def evolve_quad(system: QuadSystem, data: QuadData) -> FieldPoint:
         raise ValueError(
             f"system expects {system.components()} components, got {data.f.components()}"
         )
-    f, f1, f2 = data.f, data.f1, data.f2
-    if system.family is Family.VNLS:
-        _require_scalar_params(system, data.beta1, data.beta2)
-        den = 1 - _dot(f1.u, f2.v)
-        if den == 0:
-            raise SingularInput("1 - u1.v2")
-        r = (data.beta1 - data.beta2) / den
-        u12 = tuple(u + r * u1 for u, u1 in zip(f.u, f1.u))
-        v12 = tuple(v - r * v2 for v, v2 in zip(f.v, f2.v))
-        return FieldPoint(u12, v12)
-    u12 = quad_rhs(system, f.u, f1.u, f2.v, data.beta1, data.beta2)
-    v12 = quad_rhs(system, f.v, f2.v, f1.u, data.beta2, data.beta1)
-    return FieldPoint(u12, v12)
+    return system.spec.face(system, data)
 
 
 @dataclass(frozen=True)
@@ -334,18 +371,10 @@ def scale_same(t: Rational) -> SymmetryAction:
 
 
 def _admitted(system: QuadSystem, kind: SymmetryKind) -> bool:
-    family = system.family
-    if family in (Family.E1, Family.E2, Family.VNLS):
-        return kind is SymmetryKind.SCALE_OPP
-    if family is Family.E3:
-        return kind is SymmetryKind.TRANSLATE
-    if family is Family.E4:
-        if kind is SymmetryKind.TRANSLATE:
-            return True
-        return kind is SymmetryKind.SCALE_SAME and system.epsilon == 0
-    if family is Family.E5:
-        return kind is SymmetryKind.SCALE_SAME
-    raise ValueError(f"unknown family {family}")
+    spec = system.spec
+    if kind in spec.symmetries:
+        return True
+    return kind in spec.symmetries_at_zero and getattr(system, spec.extra) == 0
 
 
 def apply_symmetry(system: QuadSystem, action: SymmetryAction, p: FieldPoint) -> FieldPoint:
@@ -384,3 +413,50 @@ def check_symmetry_invariance(
     return evolve_quad(system, moved) == apply_symmetry(
         system, action, evolve_quad(system, data)
     )
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything the code knows about one lattice family.
+
+    face computes f_12 from QuadData; scalar families share one face
+    built from their right-hand side rhs, vector families have no rhs.
+    extra names the family-level parameter, if any.  symmetries_at_zero
+    are admitted in addition when that parameter is 0.  braid says that
+    the flip engine of `chains` runs chains of this family.
+    """
+
+    extra: str | None
+    edge: EdgeKind
+    vector: bool
+    face: Callable
+    rhs: Callable | None
+    symmetries: frozenset
+    symmetries_at_zero: frozenset = frozenset()
+    braid: bool = False
+
+
+_SCALE_OPP = frozenset({SymmetryKind.SCALE_OPP})
+_TRANSLATE = frozenset({SymmetryKind.TRANSLATE})
+_SCALE_SAME = frozenset({SymmetryKind.SCALE_SAME})
+
+FAMILY_SPECS: dict[Family, FamilySpec] = {
+    Family.E1: FamilySpec(
+        extra=None, edge=EdgeKind.RATIONAL, vector=False, face=_scalar_face,
+        rhs=_rhs_e1, symmetries=_SCALE_OPP, braid=True),
+    Family.E2: FamilySpec(
+        extra=None, edge=EdgeKind.RATIONAL, vector=False, face=_scalar_face,
+        rhs=_rhs_e2, symmetries=_SCALE_OPP),
+    Family.E3: FamilySpec(
+        extra=None, edge=EdgeKind.RATIONAL, vector=False, face=_scalar_face,
+        rhs=_rhs_e3, symmetries=_TRANSLATE),
+    Family.E4: FamilySpec(
+        extra="epsilon", edge=EdgeKind.NONZERO, vector=False, face=_scalar_face,
+        rhs=_rhs_e4, symmetries=_TRANSLATE, symmetries_at_zero=_SCALE_SAME),
+    Family.E5: FamilySpec(
+        extra="delta", edge=EdgeKind.GAMMA, vector=False, face=_scalar_face,
+        rhs=_rhs_e5, symmetries=_SCALE_SAME),
+    Family.VNLS: FamilySpec(
+        extra="n", edge=EdgeKind.RATIONAL, vector=True, face=_vnls_face,
+        rhs=None, symmetries=_SCALE_OPP, braid=True),
+}

@@ -36,11 +36,10 @@ from .exactnum import (
     gamma_pair_from_slope,
 )
 from .lax import check_zero_curvature
-from .quadgraph import Family, FieldPoint, QuadSystem, check_consistency_3d
-from .reduction import SquareSolution, check_commuting_diagram, parent_system
+from .quadgraph import EdgeKind, FieldPoint, QuadSystem, check_consistency_3d
+from .reduction import SquareSolution, check_commuting_diagram
 from .ybmaps import (
     MapId,
-    MapTag,
     YBPoint,
     apply_map,
     functional_relation_residuals,
@@ -204,24 +203,18 @@ def _encode(value):
 
 _DISTINCT_ATTEMPTS = 25
 
-# maps whose formulas divide by the edge parameters themselves
-_NONZERO_BETA_TAGS = frozenset(
-    {MapTag.E4_GENERIC, MapTag.E4_EPS0_SCALING, MapTag.E4_EPS0_JOINT}
-)
+
+def target_system(target) -> QuadSystem:
+    """The lattice system of a sweep target: a family, or a map's parent."""
+    return target if isinstance(target, QuadSystem) else target.system
 
 
-def _map_param_maker(map_id: MapId, stream: RationalStream):
-    if map_id.tag is MapTag.E5_DELTA1:
-        return lambda: gamma_pair_from_slope(stream.next_nonzero(), 1)
-    if map_id.tag in _NONZERO_BETA_TAGS:
-        return stream.next_nonzero
-    return stream.next
-
-
-def _system_param_maker(system: QuadSystem, stream: RationalStream):
-    if system.family is Family.E5:
+def _param_maker(system: QuadSystem, stream: RationalStream):
+    """Maker of edge parameters of the system's kind; maps pass their parent system."""
+    kind = system.spec.edge
+    if kind is EdgeKind.GAMMA:
         return lambda: gamma_pair_from_slope(stream.next_nonzero(), system.delta)
-    if system.family is Family.E4:
+    if kind is EdgeKind.NONZERO:
         return stream.next_nonzero
     return stream.next
 
@@ -250,7 +243,7 @@ def _draw_point(map_id: MapId, stream: RationalStream) -> YBPoint:
 
 
 def _draw_field_point(system: QuadSystem, stream: RationalStream) -> FieldPoint:
-    if system.family is Family.VNLS:
+    if system.spec.vector:
         u = tuple(stream.next() for _ in range(system.n))
         v = tuple(stream.next() for _ in range(system.n))
         return FieldPoint(u, v)
@@ -259,7 +252,7 @@ def _draw_field_point(system: QuadSystem, stream: RationalStream) -> FieldPoint:
 
 def _case_yb(map_id: MapId, corrupt: bool, first=None):
     def run(stream: RationalStream):
-        b1, b2, b3 = _draw_params(_map_param_maker(map_id, stream), 3, True, first)
+        b1, b2, b3 = _draw_params(_param_maker(map_id.system, stream), 3, True, first)
         x = _draw_point(map_id, stream)
         y = _draw_point(map_id, stream)
         z = _draw_point(map_id, stream)
@@ -272,7 +265,7 @@ def _case_yb(map_id: MapId, corrupt: bool, first=None):
 
 def _case_unitarity(map_id: MapId, corrupt: bool, first=None):
     def run(stream: RationalStream):
-        b1, b2 = _draw_params(_map_param_maker(map_id, stream), 2, False, first)
+        b1, b2 = _draw_params(_param_maker(map_id.system, stream), 2, False, first)
         x = _draw_point(map_id, stream)
         y = _draw_point(map_id, stream)
         ok = check_unitarity(map_id, x, y, b1, b2, corrupt=corrupt)
@@ -283,7 +276,7 @@ def _case_unitarity(map_id: MapId, corrupt: bool, first=None):
 
 def _case_consistency(system: QuadSystem, first=None):
     def run(stream: RationalStream):
-        b1, b2, b3 = _draw_params(_system_param_maker(system, stream), 3, False, first)
+        b1, b2, b3 = _draw_params(_param_maker(system, stream), 3, False, first)
         f = _draw_field_point(system, stream)
         f1 = _draw_field_point(system, stream)
         f2 = _draw_field_point(system, stream)
@@ -311,7 +304,7 @@ def _case_braid(components: int):
 
 def _case_zero_curvature(map_id: MapId, corrupt: bool, first=None):
     def run(stream: RationalStream):
-        b1, b2 = _draw_params(_map_param_maker(map_id, stream), 2, False, first)
+        b1, b2 = _draw_params(_param_maker(map_id.system, stream), 2, False, first)
         x = _draw_point(map_id, stream)
         y = _draw_point(map_id, stream)
         p, q = apply_map(map_id, x, y, b1, b2, corrupt=corrupt)
@@ -322,10 +315,10 @@ def _case_zero_curvature(map_id: MapId, corrupt: bool, first=None):
 
 
 def _case_commuting_diagram(map_id: MapId, corrupt: bool, first=None):
-    system = parent_system(map_id)
+    system = map_id.system
 
     def run(stream: RationalStream):
-        b1, b2 = _draw_params(_system_param_maker(system, stream), 2, False, first)
+        b1, b2 = _draw_params(_param_maker(system, stream), 2, False, first)
         f = _draw_field_point(system, stream)
         f1 = _draw_field_point(system, stream)
         f2 = _draw_field_point(system, stream)
@@ -338,7 +331,7 @@ def _case_commuting_diagram(map_id: MapId, corrupt: bool, first=None):
 
 def _case_functional_relations(map_id: MapId, corrupt: bool, first=None):
     def run(stream: RationalStream):
-        b1, b2 = _draw_params(_map_param_maker(map_id, stream), 2, False, first)
+        b1, b2 = _draw_params(_param_maker(map_id.system, stream), 2, False, first)
         x = _draw_point(map_id, stream)
         y = _draw_point(map_id, stream)
         p, q = apply_map(map_id, x, y, b1, b2)
@@ -358,7 +351,7 @@ def _case_non_quadrirational(map_id: MapId, corrupt: bool, first=None):
     block = p_independent_block(map_id)
 
     def run(stream: RationalStream):
-        b1, b2 = _draw_params(_map_param_maker(map_id, stream), 2, False, first)
+        b1, b2 = _draw_params(_param_maker(map_id.system, stream), 2, False, first)
         x = _draw_point(map_id, stream)
         y = _draw_point(map_id, stream)
         replacement = tuple(stream.next() for _ in range(map_id.block_size()))
@@ -380,36 +373,24 @@ def _case_non_quadrirational(map_id: MapId, corrupt: bool, first=None):
     return run
 
 
-def _braid_components(target) -> int:
-    if isinstance(target, QuadSystem):
-        if target.family is Family.E1:
-            return 1
-        if target.family is Family.VNLS:
-            return target.n
-    if isinstance(target, MapId):
-        if target.tag in (MapTag.E1_SHADED, MapTag.E1_BLANK):
-            return 1
-        if target.tag is MapTag.VNLS:
-            return target.n
-    raise ValueError(
-        f"braid laws apply to chains of family e1 or vnls, not {target.label()}"
-    )
-
-
 def _resolve_case(target, prop: Property, corrupt: bool, first=None):
     if corrupt and prop not in CORRUPTIBLE:
         raise ValueError(f"property {prop.value} has no corruption fixture")
     if prop is Property.CONSISTENCY_3D:
-        system = target if isinstance(target, QuadSystem) else parent_system(target)
-        return _case_consistency(system, first)
+        return _case_consistency(target_system(target), first)
     if prop is Property.BRAID:
         if first is not None:
             raise ValueError("property braid does not take a pinned parameter")
-        return _case_braid(_braid_components(target))
+        system = target_system(target)
+        if not system.spec.braid:
+            raise ValueError(
+                f"braid laws apply to chains of family e1 or vnls, not {target.label()}"
+            )
+        return _case_braid(system.components())
     if not isinstance(target, MapId):
         raise ValueError(f"property {prop.value} needs a map id, not a family")
     if prop is Property.ZERO_CURVATURE:
-        if target.tag is not MapTag.E1_SHADED:
+        if not target.spec.zero_curvature:
             raise ValueError("zero-curvature verification covers e1-shaded only")
         return _case_zero_curvature(target, corrupt, first)
     cases = {

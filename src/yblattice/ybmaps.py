@@ -28,6 +28,13 @@ unitarity witness.  `functional_relation_residuals` returns the defining
 invariant relations of each map (expressions that vanish identically on
 (x, y, p, q) = (input, output) pairs).
 
+Everything the code knows about one map sits in its `MapSpec` record in
+`MAP_SPECS`: the catalog listing, the multiplier, finish and residual
+formulas, the block the first output ignores, the reader of its four
+invariant points off a solved square of its parent lattice, and that
+parent system.  The functions here and the reduction, verification and
+CLI layers read the record; none of them branches on the map.
+
 Denominators are checked before every division; SingularInput names the
 vanishing expression.  The optional `corrupt` flag adds 1 to the primary
 multiplier, a documented broken variant used to prove the verification
@@ -36,12 +43,14 @@ harness can fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .errors import SingularInput
 from .exactnum import GammaPair, Rational
+from .quadgraph import EdgeKind, QuadSystem
 
 MapParam = Rational | GammaPair
 
@@ -66,19 +75,25 @@ class MapId:
     Edge parameters b1, b2 are per-application arguments, not part of the
     id; for e5 they are GammaPairs sharing one delta (1 in the catalog,
     0 admitted for the documented degeneration to e4-eps0-scaling).
+    The spec and the parent system are looked up once, on construction.
     """
 
     tag: MapTag
     epsilon: Rational | None = None
     n: int | None = None
+    spec: MapSpec = field(init=False, repr=False, compare=False)
+    system: QuadSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if (self.epsilon is not None) != (self.tag is MapTag.E4_GENERIC):
-            raise ValueError("epsilon is set exactly for map e4")
-        if (self.n is not None) != (self.tag is MapTag.VNLS):
-            raise ValueError("n is set exactly for map vnls")
+        spec = MAP_SPECS[self.tag]
+        object.__setattr__(self, "spec", spec)
+        for name in ("epsilon", "n"):
+            if (getattr(self, name) is not None) != (spec.extra == name):
+                owner = next(t for t, s in MAP_SPECS.items() if s.extra == name)
+                raise ValueError(f"{name} is set exactly for map {owner.value}")
         if self.n is not None and self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "system", spec.system(self))
 
     @classmethod
     def e1_shaded(cls) -> "MapId":
@@ -117,12 +132,12 @@ class MapId:
         return cls(MapTag.VNLS, n=n)
 
     def label(self) -> str:
-        if self.tag is MapTag.VNLS:
-            return f"vnls:{self.n}"
+        if self.spec.extra == "n":
+            return f"{self.tag.value}:{self.n}"
         return self.tag.value
 
     def block_size(self) -> int:
-        return self.n if self.tag is MapTag.VNLS else 1
+        return self.n if self.spec.extra == "n" else 1
 
 
 def _fractions(block) -> tuple:
@@ -156,15 +171,15 @@ class YBPoint:
         return a, b
 
 
-def _require_rational_params(map_id: MapId, b1: MapParam, b2: MapParam) -> None:
-    if isinstance(b1, GammaPair) or isinstance(b2, GammaPair):
-        raise ValueError(f"map {map_id.label()} takes plain Rational parameters")
-
-
-def _require_gamma_params(b1: MapParam, b2: MapParam) -> None:
+def _require_params(map_id: MapId, b1: MapParam, b2: MapParam) -> None:
+    """Parameters of the parent family's kind; GammaPairs share one delta."""
+    if map_id.system.spec.edge is not EdgeKind.GAMMA:
+        if isinstance(b1, GammaPair) or isinstance(b2, GammaPair):
+            raise ValueError(f"map {map_id.label()} takes plain Rational parameters")
+        return
     for b in (b1, b2):
         if not isinstance(b, GammaPair):
-            raise ValueError("map e5 takes GammaPair parameters")
+            raise ValueError(f"map {map_id.label()} takes GammaPair parameters")
     if b1.delta != b2.delta:
         raise ValueError(f"parameter deltas differ: {b1.delta} != {b2.delta}")
 
@@ -184,12 +199,18 @@ def _nonzero(value: Rational, name: str) -> Rational:
     return value
 
 
-# One record per map: multiplier computation, output assembly from the
-# multipliers, and the defining invariant relations.  Assembly re-checks
-# the denominators it introduces so the corrupted variant stays safe.
+def _ratio(num: Rational, den: Rational, name: str) -> Rational:
+    return num / _nonzero(den, name)
 
 
-def _mults_e1_shaded(x, y, b1, b2):
+# The formulas of each map: multipliers (which take the id for its
+# map-level parameter), output assembly from the multipliers, and the
+# defining invariant relations.  Assembly re-checks the denominators it
+# introduces so the corrupted variant stays safe.  MAP_SPECS at the end
+# of the module gathers them into one record per map.
+
+
+def _mults_e1_shaded(x, y, b1, b2, map_id):
     x1, _ = x.pair()
     _, y2 = y.pair()
     return {"P": 1 + (b1 - b2) / _nonzero(x1 - y2, "x1 - y2")}
@@ -213,7 +234,7 @@ def _res_product_shift(x, y, p, q):
     return (p1 * q1 - x1 * y1, p1 * p2 - y1 * y2)
 
 
-def _mults_e1_blank(x, y, b1, b2):
+def _mults_e1_blank(x, y, b1, b2, map_id):
     _, x2 = x.pair()
     y1, _ = y.pair()
     den = _nonzero(1 - x2 * y1, "1 - x2*y1")
@@ -238,7 +259,7 @@ def _res_e1_blank(x, y, p, q):
     return (p1 * q1 - x1 * y1, p1 * q2 - y1 * x2)
 
 
-def _mults_e2(x, y, b1, b2):
+def _mults_e2(x, y, b1, b2, map_id):
     x1, x2 = x.pair()
     _, y2 = y.pair()
     P = 1 + (b2 - b1) * (1 - x1) / _nonzero(b2 * x1 + y2, "b2*x1 + y2")
@@ -257,7 +278,7 @@ def _finish_e2(x, y, b1, b2, m):
     return p, q
 
 
-def _mults_e3(x, y, b1, b2):
+def _mults_e3(x, y, b1, b2, map_id):
     x1, _ = x.pair()
     _, y2 = y.pair()
     den = _nonzero(y2 - x1 - b1, "y2 - x1 - b1")
@@ -282,7 +303,8 @@ def _res_sum_shift(x, y, p, q):
     return (p1 + q1 - (x1 + y1), p1 + p2 - (y1 + y2))
 
 
-def _mults_e4(x, y, b1, b2, epsilon):
+def _mults_e4(x, y, b1, b2, map_id):
+    epsilon = map_id.epsilon
     x1, x2 = x.pair()
     _, y2 = y.pair()
     _nonzero(b1, "b1")
@@ -305,7 +327,7 @@ def _finish_e4(x, y, b1, b2, m):
     return p, q
 
 
-def _mults_e4_eps0_scaling(x, y, b1, b2):
+def _mults_e4_eps0_scaling(x, y, b1, b2, map_id):
     x1, x2 = x.pair()
     _, y2 = y.pair()
     denP = _nonzero(
@@ -338,7 +360,7 @@ def _res_ratio_weighted(x, y, p, q):
     return (p1 * q1 - x1 * y1, y2 * p1 - y1 * p2)
 
 
-def _mults_e4_eps0_joint(x, y, b1, b2):
+def _mults_e4_eps0_joint(x, y, b1, b2, map_id):
     x1, _ = x.pair()
     _, y2 = y.pair()
     den = _nonzero(
@@ -375,7 +397,7 @@ def _res_e4_eps0_joint(x, y, p, q):
     return (a - b, b - c)
 
 
-def _mults_e5(x, y, g1: GammaPair, g2: GammaPair):
+def _mults_e5(x, y, g1: GammaPair, g2: GammaPair, map_id):
     x1, x2 = x.pair()
     _, y2 = y.pair()
     db = g1.beta - g2.beta
@@ -397,7 +419,7 @@ def _finish_e5(x, y, g1, g2, m):
     return p, q
 
 
-def _mults_vnls(x, y, b1, b2):
+def _mults_vnls(x, y, b1, b2, map_id):
     for i, c in enumerate(x.first):
         _nonzero(c, f"x1[{i}]")
     T = 1 - sum(
@@ -438,103 +460,88 @@ def _res_vnls(x, y, p, q):
     return first + second
 
 
-@dataclass(frozen=True)
-class MapInfo:
-    """Catalog metadata for one map, as shown by the CLI listing."""
-
-    label: str
-    parent: str
-    blocks: str
-    params: str
-    multipliers: tuple
-    description: str
+# Invariant readers: the four points (x, y, p, q) of a solved square of
+# the parent lattice.  Each is one edge invariant of the symmetry group,
+# read off the edges (f, f_1), (f_2, f), (f_2, f_12) and (f_12, f_1) in
+# turn.  A ratio raises SingularInput naming the corner value or
+# combination that must be nonzero.
 
 
-CATALOG: dict[MapTag, MapInfo] = {
-    MapTag.E1_SHADED: MapInfo(
-        "e1-shaded", "e1", "(ratio, product)", "b1, b2 rational",
-        ("P",), "invariants u/u1 and v*u1 of the e1 lattice"),
-    MapTag.E1_BLANK: MapInfo(
-        "e1-blank", "e1", "(ratio, product)", "b1, b2 rational",
-        ("Ptilde",), "companion reduction of e1 through v-edge invariants"),
-    MapTag.E2: MapInfo(
-        "e2", "e2", "(ratio, product)", "b1, b2 rational",
-        ("P", "Q"), "e2 lattice through the same invariants as e1-shaded"),
-    MapTag.E3: MapInfo(
-        "e3", "e3", "(difference, sum)", "b1, b2 rational",
-        ("P",), "additive reduction of the e3 lattice"),
-    MapTag.E4_GENERIC: MapInfo(
-        "e4", "e4", "(difference, sum)", "b1, b2 rational nonzero; epsilon",
-        ("P", "Q"), "additive reduction of the e4 lattice, any epsilon"),
-    MapTag.E4_EPS0_SCALING: MapInfo(
-        "e4-eps0-scaling", "e4 (epsilon 0)", "(ratio, ratio)", "b1, b2 rational",
-        ("P", "Q"), "scaling-invariant reduction of e4 at epsilon 0"),
-    MapTag.E4_EPS0_JOINT: MapInfo(
-        "e4-eps0-joint", "e4 (epsilon 0)", "(joint ratios)", "b1, b2 rational",
-        ("P",), "joint translation-scaling reduction of e4 at epsilon 0"),
-    MapTag.E5_DELTA1: MapInfo(
-        "e5", "e5 (delta 1)", "(ratio, ratio)", "GammaPair per edge",
-        ("P", "Q"), "scaling reduction of e5; edge parameters on a conic"),
-    MapTag.VNLS: MapInfo(
-        "vnls:<n>", "vnls", "(ratio, product)", "b1, b2 rational",
-        ("S",), "n-component analogue of e1-shaded via inner products"),
-}
+def _edges(s):
+    """The four edges (a, b) of a square, with the name suffix of corner b."""
+    return (
+        (s.f, s.f1, "1"),
+        (s.f2, s.f, ""),
+        (s.f2, s.f12, "12"),
+        (s.f12, s.f1, "1"),
+    )
 
-_PRIMARY = {tag: info.multipliers[0] for tag, info in CATALOG.items()}
+
+def _inv_u_ratio_product(s):
+    return tuple(
+        YBPoint.of(_ratio(a.u, b.u, f"u{j}"), a.v * b.u) for a, b, j in _edges(s)
+    )
+
+
+def _inv_v_ratio_product(s):
+    return tuple(
+        YBPoint.of(_ratio(a.v, b.v, f"v{j}"), a.v * b.u) for a, b, j in _edges(s)
+    )
+
+
+def _inv_difference_sum(s):
+    return tuple(YBPoint.of(a.u - b.u, a.v + b.u) for a, b, _ in _edges(s))
+
+
+def _inv_ratio_ratio(s):
+    return tuple(
+        YBPoint.of(_ratio(a.u, b.u, f"u{j}"), _ratio(a.v, b.u, f"u{j}"))
+        for a, b, j in _edges(s)
+    )
+
+
+def _inv_joint_ratios(s):
+    u, v = s.f.u, s.f.v
+    u1, v1 = s.f1.u, s.f1.v
+    u2, v2 = s.f2.u, s.f2.v
+    u12, v12 = s.f12.u, s.f12.v
+    x = YBPoint.of(
+        _ratio(u - u1, v + u1, "v + u1"), _ratio(v - v1, v + u1, "v + u1")
+    )
+    y = YBPoint.of(
+        _ratio(u2 - u, u + v2, "u + v2"), _ratio(v2 - v, u + v2, "u + v2")
+    )
+    p = YBPoint.of(
+        _ratio(u2 - u12, v2 + u12, "v2 + u12"),
+        _ratio(v2 - v12, v2 + u12, "v2 + u12"),
+    )
+    q = YBPoint.of(
+        _ratio(u12 - u1, u1 + v12, "u1 + v12"),
+        _ratio(v12 - v1, u1 + v12, "u1 + v12"),
+    )
+    return x, y, p, q
+
+
+def _inv_vnls(s):
+    # _inv_u_ratio_product, componentwise
+    return tuple(
+        YBPoint(
+            tuple(
+                _ratio(au, bu, f"u{j}[{k}]") for k, (au, bu) in enumerate(zip(a.u, b.u))
+            ),
+            tuple(av * bu for av, bu in zip(a.v, b.u)),
+        )
+        for a, b, j in _edges(s)
+    )
 
 
 def map_multipliers(
     map_id: MapId, x: YBPoint, y: YBPoint, b1: MapParam, b2: MapParam
 ) -> dict:
     """The named multipliers driving the map at this input."""
-    tag = map_id.tag
     _require_shape(map_id, x, y)
-    if tag is MapTag.E5_DELTA1:
-        _require_gamma_params(b1, b2)
-        return _mults_e5(x, y, b1, b2)
-    _require_rational_params(map_id, b1, b2)
-    if tag is MapTag.E1_SHADED:
-        return _mults_e1_shaded(x, y, b1, b2)
-    if tag is MapTag.E1_BLANK:
-        return _mults_e1_blank(x, y, b1, b2)
-    if tag is MapTag.E2:
-        return _mults_e2(x, y, b1, b2)
-    if tag is MapTag.E3:
-        return _mults_e3(x, y, b1, b2)
-    if tag is MapTag.E4_GENERIC:
-        return _mults_e4(x, y, b1, b2, map_id.epsilon)
-    if tag is MapTag.E4_EPS0_SCALING:
-        return _mults_e4_eps0_scaling(x, y, b1, b2)
-    if tag is MapTag.E4_EPS0_JOINT:
-        return _mults_e4_eps0_joint(x, y, b1, b2)
-    if tag is MapTag.VNLS:
-        return _mults_vnls(x, y, b1, b2)
-    raise ValueError(f"unknown map {tag}")
-
-
-_FINISH = {
-    MapTag.E1_SHADED: _finish_e1_shaded,
-    MapTag.E1_BLANK: _finish_e1_blank,
-    MapTag.E2: _finish_e2,
-    MapTag.E3: _finish_e3,
-    MapTag.E4_GENERIC: _finish_e4,
-    MapTag.E4_EPS0_SCALING: _finish_e4_eps0_scaling,
-    MapTag.E4_EPS0_JOINT: _finish_e4_eps0_joint,
-    MapTag.E5_DELTA1: _finish_e5,
-    MapTag.VNLS: _finish_vnls,
-}
-
-_RESIDUALS = {
-    MapTag.E1_SHADED: _res_product_shift,
-    MapTag.E1_BLANK: _res_e1_blank,
-    MapTag.E2: _res_product_shift,
-    MapTag.E3: _res_sum_shift,
-    MapTag.E4_GENERIC: _res_sum_shift,
-    MapTag.E4_EPS0_SCALING: _res_ratio_weighted,
-    MapTag.E4_EPS0_JOINT: _res_e4_eps0_joint,
-    MapTag.E5_DELTA1: _res_ratio_weighted,
-    MapTag.VNLS: _res_vnls,
-}
+    _require_params(map_id, b1, b2)
+    return map_id.spec.mults(x, y, b1, b2, map_id)
 
 
 def _bump(value):
@@ -559,10 +566,12 @@ def apply_map(
     kept as a fixture for failure-path tests.
     """
     mults = map_multipliers(map_id, x, y, b1, b2)
+    spec = map_id.spec
     if corrupt:
+        primary = spec.multipliers[0]
         mults = dict(mults)
-        mults[_PRIMARY[map_id.tag]] = _bump(mults[_PRIMARY[map_id.tag]])
-    return _FINISH[map_id.tag](x, y, b1, b2, mults)
+        mults[primary] = _bump(mults[primary])
+    return spec.finish(x, y, b1, b2, mults)
 
 
 def apply_inverse(
@@ -580,7 +589,7 @@ def functional_relation_residuals(
     (p, q) is the image of (x, y)."""
     _require_shape(map_id, x, y)
     _require_shape(map_id, p, q)
-    return _RESIDUALS[map_id.tag](x, y, p, q)
+    return map_id.spec.residuals(x, y, p, q)
 
 
 def p_independent_block(map_id: MapId) -> str:
@@ -590,7 +599,7 @@ def p_independent_block(map_id: MapId) -> str:
     quadrirational: e1-blank's p ignores the first block, every other
     map's p ignores the second.
     """
-    return "first" if map_id.tag is MapTag.E1_BLANK else "second"
+    return map_id.spec.p_independent
 
 
 def replace_block(point: YBPoint, block: str, values: tuple) -> YBPoint:
@@ -599,3 +608,82 @@ def replace_block(point: YBPoint, block: str, values: tuple) -> YBPoint:
     if block == "second":
         return YBPoint(point.first, values)
     raise ValueError(f"unknown block {block!r}")
+
+
+@dataclass(frozen=True)
+class MapSpec:
+    """Everything the code knows about one map.
+
+    label, reduces, blocks, params, multipliers and description are the
+    catalog listing; the first multiplier is the one `corrupt` shifts.
+    mults(x, y, b1, b2, map_id), finish(x, y, b1, b2, multipliers) and
+    residuals(x, y, p, q) are the map's formulas, invariants(square)
+    reads (x, y, p, q) off a solved square and system(map_id) is the
+    parent lattice system.  extra names the map-level parameter of the
+    id, if any; p_independent is the block of x the output p ignores;
+    zero_curvature says the map has the Lax pair of `lax`.
+    """
+
+    label: str
+    reduces: str
+    blocks: str
+    params: str
+    multipliers: tuple
+    description: str
+    mults: Callable
+    finish: Callable
+    residuals: Callable
+    invariants: Callable
+    system: Callable
+    extra: str | None = None
+    p_independent: str = "second"
+    zero_curvature: bool = False
+
+
+MAP_SPECS: dict[MapTag, MapSpec] = {
+    MapTag.E1_SHADED: MapSpec(
+        "e1-shaded", "e1", "(ratio, product)", "b1, b2 rational",
+        ("P",), "invariants u/u1 and v*u1 of the e1 lattice",
+        _mults_e1_shaded, _finish_e1_shaded, _res_product_shift,
+        _inv_u_ratio_product, lambda m: QuadSystem.e1(), zero_curvature=True),
+    MapTag.E1_BLANK: MapSpec(
+        "e1-blank", "e1", "(ratio, product)", "b1, b2 rational",
+        ("Ptilde",), "companion reduction of e1 through v-edge invariants",
+        _mults_e1_blank, _finish_e1_blank, _res_e1_blank,
+        _inv_v_ratio_product, lambda m: QuadSystem.e1(), p_independent="first"),
+    MapTag.E2: MapSpec(
+        "e2", "e2", "(ratio, product)", "b1, b2 rational",
+        ("P", "Q"), "e2 lattice through the same invariants as e1-shaded",
+        _mults_e2, _finish_e2, _res_product_shift,
+        _inv_u_ratio_product, lambda m: QuadSystem.e2()),
+    MapTag.E3: MapSpec(
+        "e3", "e3", "(difference, sum)", "b1, b2 rational",
+        ("P",), "additive reduction of the e3 lattice",
+        _mults_e3, _finish_e3, _res_sum_shift,
+        _inv_difference_sum, lambda m: QuadSystem.e3()),
+    MapTag.E4_GENERIC: MapSpec(
+        "e4", "e4", "(difference, sum)", "b1, b2 rational nonzero; epsilon",
+        ("P", "Q"), "additive reduction of the e4 lattice, any epsilon",
+        _mults_e4, _finish_e4, _res_sum_shift,
+        _inv_difference_sum, lambda m: QuadSystem.e4(m.epsilon), extra="epsilon"),
+    MapTag.E4_EPS0_SCALING: MapSpec(
+        "e4-eps0-scaling", "e4 (epsilon 0)", "(ratio, ratio)", "b1, b2 rational",
+        ("P", "Q"), "scaling-invariant reduction of e4 at epsilon 0",
+        _mults_e4_eps0_scaling, _finish_e4_eps0_scaling, _res_ratio_weighted,
+        _inv_ratio_ratio, lambda m: QuadSystem.e4(Fraction(0))),
+    MapTag.E4_EPS0_JOINT: MapSpec(
+        "e4-eps0-joint", "e4 (epsilon 0)", "(joint ratios)", "b1, b2 rational",
+        ("P",), "joint translation-scaling reduction of e4 at epsilon 0",
+        _mults_e4_eps0_joint, _finish_e4_eps0_joint, _res_e4_eps0_joint,
+        _inv_joint_ratios, lambda m: QuadSystem.e4(Fraction(0))),
+    MapTag.E5_DELTA1: MapSpec(
+        "e5", "e5 (delta 1)", "(ratio, ratio)", "GammaPair per edge",
+        ("P", "Q"), "scaling reduction of e5; edge parameters on a conic",
+        _mults_e5, _finish_e5, _res_ratio_weighted,
+        _inv_ratio_ratio, lambda m: QuadSystem.e5(1)),
+    MapTag.VNLS: MapSpec(
+        "vnls:<n>", "vnls", "(ratio, product)", "b1, b2 rational",
+        ("S",), "n-component analogue of e1-shaded via inner products",
+        _mults_vnls, _finish_vnls, _res_vnls,
+        _inv_vnls, lambda m: QuadSystem.vnls(m.n), extra="n"),
+}

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from yblattice import chains
 from yblattice.chains import (
     PathState,
-    check_braid,
-    check_commutation,
     check_flip_laws,
     csv_header,
     csv_row,
@@ -22,7 +20,7 @@ from yblattice.chains import (
     random_path,
     transfer_step,
 )
-from yblattice.errors import BadIndices, IndexOutOfRange, SingularInput
+from yblattice.errors import IndexOutOfRange, SingularInput
 from yblattice.exactnum import RationalStream
 from yblattice.quadgraph import FieldPoint, evolve_quad
 
@@ -107,7 +105,7 @@ def test_braid_relation_sampled():
         seed += 1
         path = nonsingular_path(seed, 8)
         try:
-            ok = check_braid(path, 3)
+            ok = check_flip_laws(path)
         except SingularInput:
             continue
         checked += 1
@@ -121,7 +119,7 @@ def test_braid_relation_vector_fields():
         seed += 1
         path = nonsingular_path(seed, 8, components=3)
         try:
-            ok = check_braid(path, 4)
+            ok = check_flip_laws(path)
         except SingularInput:
             continue
         checked += 1
@@ -130,44 +128,29 @@ def test_braid_relation_vector_fields():
 
 def test_braid_trivial_when_parameters_agree():
     path = scalar_path([1, 3, 8, 2, 7], [9, 4, 2, 5, 1], [2, 2, 2, 2])
-    assert check_braid(path, 2)
+    assert check_flip_laws(path)
 
 
 def test_braid_singular_is_an_error_not_a_verdict():
-    # u_1 v_3 = 1 makes the first flip of one leg singular
+    # u_1 v_3 = 1 makes the flip at vertex 2 singular
     path = scalar_path([5, 2, 3, 4, 6], [1, 9, 8, Fraction(1, 2), 7], [1, 2, 3, 4])
     with pytest.raises(SingularInput):
-        check_braid(path, 2)
+        check_flip_laws(path)
 
 
 def test_commutation_sampled():
+    # longer paths: 21 distant pairs on 10 vertices against 10 on 8
     checked = 0
     seed = 0
-    while checked < 100:
+    while checked < 50:
         seed += 1
-        path = nonsingular_path(seed, 8)
+        path = nonsingular_path(seed, 10)
         try:
-            ok = check_commutation(path, 2, 5)
+            ok = check_flip_laws(path)
         except SingularInput:
             continue
         checked += 1
         assert ok
-
-
-def test_commutation_rejects_adjacent_indices():
-    path = nonsingular_path(1, 8)
-    with pytest.raises(BadIndices):
-        check_commutation(path, 3, 4)
-    with pytest.raises(BadIndices):
-        check_commutation(path, 3, 3)
-
-
-def test_commutation_periodic_uses_cyclic_distance():
-    path = nonsingular_path(2, 6, periodic=True)
-    # positions 0 and 5 are neighbors around the cycle
-    with pytest.raises(BadIndices):
-        check_commutation(path, 0, 5)
-    assert check_commutation(path, 0, 3)
 
 
 def flip_laws_by_fold(path: PathState) -> bool:
@@ -204,15 +187,6 @@ def test_flip_laws_match_the_fold_of_flips(
                 check_flip_laws(path)
             return
         assert check_flip_laws(path) == want
-        for j in range(1, count - 2):
-            assert check_braid(path, j) == (
-                flip(flip(flip(path, j + 1), j), j + 1)
-                == flip(flip(flip(path, j), j + 1), j)
-            )
-        for j in range(3, count - 1):
-            assert check_commutation(path, 1, j) == (
-                flip(flip(path, 1), j) == flip(flip(path, j), 1)
-            )
 
 
 @pytest.mark.parametrize("components", [1, 3])

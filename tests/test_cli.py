@@ -88,8 +88,11 @@ def test_vnls_identifier_forms():
         ["verify", "--map", "vnls", "--dim", "2", "--property", "yb", "--samples", "5"]
     )
     assert code == 0
-    code, _, err = run(["verify", "--map", "vnls:0", "--property", "yb"])
-    assert code == 2
+    # a superscript two and an Arabic-Indic three are digits to str.isdigit
+    for map_str in ("vnls:0", "vnls:\u00b2", "vnls:\u0663"):
+        code, _, err = run(["verify", "--map", map_str, "--property", "yb"])
+        assert code == 2, map_str
+        assert f"bad block count in {map_str!r}" in err
 
 
 def test_delta_zero_consistency_with_pinned_slope():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from yblattice.errors import IncompatibleAction, SingularInput, ZeroScale
 from yblattice.exactnum import RationalStream, gamma_pair_from_slope
 from yblattice.quadgraph import (
+    FAMILY_SPECS,
+    Family,
     FieldPoint,
     QuadData,
     QuadSystem,
@@ -49,6 +51,13 @@ def random_field(system: QuadSystem, stream: RationalStream) -> FieldPoint:
         tuple(stream.next() for _ in range(n)),
         tuple(stream.next() for _ in range(n)),
     )
+
+
+def test_every_family_has_one_spec():
+    assert list(FAMILY_SPECS) == list(Family)
+    for family, spec in FAMILY_SPECS.items():
+        # scalar families share one face built from their right-hand side
+        assert (spec.rhs is None) == spec.vector, family
 
 
 def test_field_point_shape_contract():

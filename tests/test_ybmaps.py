@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from yblattice import verify
 from yblattice.errors import SingularInput
 from yblattice.exactnum import GammaPair, RationalStream, gamma_pair_from_slope
+from yblattice.reduction import parent_system
 from yblattice.ybmaps import (
-    CATALOG,
+    MAP_SPECS,
     MapId,
+    MapTag,
     YBPoint,
     apply_inverse,
     apply_map,
@@ -251,7 +254,7 @@ def test_corruption_changes_the_image():
 
 
 def test_catalog_covers_the_cli_identifiers():
-    labels = {info.label for info in CATALOG.values()}
+    labels = {info.label for info in MAP_SPECS.values()}
     assert labels == {
         "e1-shaded",
         "e1-blank",
@@ -263,8 +266,39 @@ def test_catalog_covers_the_cli_identifiers():
         "e5",
         "vnls:<n>",
     }
-    for info in CATALOG.values():
+    for info in MAP_SPECS.values():
         assert info.description
+    assert list(MAP_SPECS) == list(MapTag)
+
+
+@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+def test_spec_names_the_computed_multipliers(map_id):
+    stream = RationalStream(5, 10)
+    while True:
+        try:
+            mults = map_multipliers(map_id, *draw_case(map_id, stream))
+        except SingularInput:
+            continue
+        break
+    assert tuple(mults) == map_id.spec.multipliers
+
+
+@pytest.mark.parametrize(
+    "map_id", ALL_MAPS + (MapId.vnls(1), MapId.e4(0)), ids=lambda m: m.label()
+)
+def test_block_size_is_the_parent_component_count(map_id):
+    assert map_id.block_size() == parent_system(map_id).components()
+
+
+@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+def test_map_draws_the_parameters_of_its_parent_family(map_id):
+    # param_maker is the rule each map's formulas need (nonzero for the e4
+    # maps, conic points for e5); sweeps draw by the parent family instead
+    by_map, by_family = RationalStream(3, 10), RationalStream(3, 10)
+    make_map = param_maker(map_id, by_map)
+    make_family = verify._param_maker(parent_system(map_id), by_family)
+    assert [make_map() for _ in range(200)] == [make_family() for _ in range(200)]
+    assert by_map.index == by_family.index
 
 
 @given(st.integers(0, 10**6))
