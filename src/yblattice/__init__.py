@@ -15,7 +15,7 @@ from .quadgraph import (
     check_consistency_3d,
     evolve_quad,
 )
-from .reduction import SquareSolution, check_commuting_diagram, parent_system
+from .reduction import SquareSolution, check_commuting_diagram
 from .verify import Property, TripleState, VerificationReport, sweep
 from .ybmaps import MapId, YBPoint, apply_inverse, apply_map
 
@@ -42,7 +42,6 @@ __all__ = [
     "check_zero_curvature",
     "moebius_p1",
     "SquareSolution",
-    "parent_system",
     "check_commuting_diagram",
     "Property",
     "TripleState",

@@ -191,9 +191,12 @@ def _write_out(dest: str | None, text: str) -> None:
         text += "\n"
     if dest is None or dest == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"--out: {err}")
 
 
 def _cmd_verify(args) -> int:

@@ -72,11 +72,6 @@ class SquareSolution:
         return square
 
 
-def parent_system(map_id: MapId) -> QuadSystem:
-    """The lattice system a map reduces; e5 defaults to delta = 1."""
-    return map_id.system
-
-
 def _check_compatible(map_id: MapId, system: QuadSystem) -> None:
     want = map_id.system
     # e5 squares of either delta reduce by the same formulas

@@ -9,8 +9,19 @@ point where it is defined, so the exit question is "passed == valid", with
 `RetryBudgetExhausted` signalling that no valid sample could be drawn at
 all.
 
+Each property is one entry of the case table `_CASES`: how many edge
+parameters a sample draws and whether they must be distinct, the names
+of the points it draws (map points, or field points of the parent
+system), and the law tested on them.  One runner serves every entry.  A
+sample draws its edge parameters first, then its points in the listed
+order, then whatever the law draws itself (the non-quadrirational
+replacement block, the braid path).  A failure dump lists the points,
+then beta1, beta2, ..., then the law's extra entries (residuals;
+replaced_block and replacement; path).
+
 Reports are pure functions of (target, property, seed, n, bound), byte
-for byte, which the CLI test suite relies on.
+for byte, which the CLI test suite and the golden files rely on.
+`plan()` lists the (target, property) sweeps of the whole catalog.
 
 The composite-map convention is fixed once here: a two-point map applied
 to factors (i, j) of a triple acts on those positions in order and leaves
@@ -22,15 +33,16 @@ verdict does not depend on it.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chains import PathState, check_flip_laws, random_path
 from .errors import RetryBudgetExhausted, SingularInput
 from .exactnum import (
     GammaPair,
-    Rational,
     RationalStream,
     format_rational,
     gamma_pair_from_slope,
@@ -120,21 +132,6 @@ def check_yb_relation(
     rhs = stage(on12, stage(on13, stage(on23, start, "rhs factors (2,3)"),
                             "rhs factors (1,3)"), "rhs factors (1,2)")
     return lhs == rhs
-
-
-def check_unitarity(
-    map_id: MapId,
-    x: YBPoint,
-    y: YBPoint,
-    beta1,
-    beta2,
-    *,
-    corrupt: bool = False,
-) -> bool:
-    """Applying the map and then its swapped-parameter conjugate restores (x, y)."""
-    p, q = apply_map(map_id, x, y, beta1, beta2, corrupt=corrupt)
-    p2, q2 = apply_map(map_id, q, p, beta2, beta1, corrupt=corrupt)
-    return (q2, p2) == (x, y)
 
 
 @dataclass(frozen=True)
@@ -250,157 +247,127 @@ def _draw_field_point(system: QuadSystem, stream: RationalStream) -> FieldPoint:
     return FieldPoint(stream.next(), stream.next())
 
 
-def _case_yb(map_id: MapId, corrupt: bool, first=None):
-    def run(stream: RationalStream):
-        b1, b2, b3 = _draw_params(_param_maker(map_id.system, stream), 3, True, first)
-        x = _draw_point(map_id, stream)
-        y = _draw_point(map_id, stream)
-        z = _draw_point(map_id, stream)
-        t = TripleState(x, y, z, b1, b2, b3)
-        ok = check_yb_relation(map_id, t, corrupt=corrupt)
-        return ok, {"x": x, "y": y, "z": z, "beta1": b1, "beta2": b2, "beta3": b3}
-
-    return run
+def _yb(map_id, stream, corrupt, x, y, z, beta1, beta2, beta3):
+    t = TripleState(x, y, z, beta1, beta2, beta3)
+    return check_yb_relation(map_id, t, corrupt=corrupt), None
 
 
-def _case_unitarity(map_id: MapId, corrupt: bool, first=None):
-    def run(stream: RationalStream):
-        b1, b2 = _draw_params(_param_maker(map_id.system, stream), 2, False, first)
-        x = _draw_point(map_id, stream)
-        y = _draw_point(map_id, stream)
-        ok = check_unitarity(map_id, x, y, b1, b2, corrupt=corrupt)
-        return ok, {"x": x, "y": y, "beta1": b1, "beta2": b2}
-
-    return run
+def _unitarity(map_id, stream, corrupt, x, y, beta1, beta2):
+    # the map, then its swapped-parameter conjugate, restores (x, y)
+    p, q = apply_map(map_id, x, y, beta1, beta2, corrupt=corrupt)
+    p2, q2 = apply_map(map_id, q, p, beta2, beta1, corrupt=corrupt)
+    return (q2, p2) == (x, y), None
 
 
-def _case_consistency(system: QuadSystem, first=None):
-    def run(stream: RationalStream):
-        b1, b2, b3 = _draw_params(_param_maker(system, stream), 3, False, first)
-        f = _draw_field_point(system, stream)
-        f1 = _draw_field_point(system, stream)
-        f2 = _draw_field_point(system, stream)
-        f3 = _draw_field_point(system, stream)
-        report = check_consistency_3d(system, f, f1, f2, f3, b1, b2, b3)
-        drawn = {
-            "f": f, "f1": f1, "f2": f2, "f3": f3,
-            "beta1": b1, "beta2": b2, "beta3": b3,
-        }
-        return report.consistent, drawn
-
-    return run
+def _consistency(system, stream, corrupt, f, f1, f2, f3, beta1, beta2, beta3):
+    report = check_consistency_3d(system, f, f1, f2, f3, beta1, beta2, beta3)
+    return report.consistent, None
 
 
 _PATH_VERTICES = 8
 
 
-def _case_braid(components: int):
-    def run(stream: RationalStream):
-        path = random_path(stream, _PATH_VERTICES, components=components)
-        return check_flip_laws(path), {"path": path}
-
-    return run
+def _braid(system, stream, corrupt):
+    path = random_path(stream, _PATH_VERTICES, components=system.components())
+    return check_flip_laws(path), {"path": path}
 
 
-def _case_zero_curvature(map_id: MapId, corrupt: bool, first=None):
-    def run(stream: RationalStream):
-        b1, b2 = _draw_params(_param_maker(map_id.system, stream), 2, False, first)
-        x = _draw_point(map_id, stream)
-        y = _draw_point(map_id, stream)
-        p, q = apply_map(map_id, x, y, b1, b2, corrupt=corrupt)
-        ok = check_zero_curvature(x, y, p, q, b1, b2)
-        return ok, {"x": x, "y": y, "beta1": b1, "beta2": b2}
-
-    return run
+def _zero_curvature(map_id, stream, corrupt, x, y, beta1, beta2):
+    p, q = apply_map(map_id, x, y, beta1, beta2, corrupt=corrupt)
+    return check_zero_curvature(x, y, p, q, beta1, beta2), None
 
 
-def _case_commuting_diagram(map_id: MapId, corrupt: bool, first=None):
-    system = map_id.system
-
-    def run(stream: RationalStream):
-        b1, b2 = _draw_params(_param_maker(system, stream), 2, False, first)
-        f = _draw_field_point(system, stream)
-        f1 = _draw_field_point(system, stream)
-        f2 = _draw_field_point(system, stream)
-        square = SquareSolution.solve(system, f, f1, f2, b1, b2)
-        ok = check_commuting_diagram(map_id, square, corrupt=corrupt)
-        return ok, {"f": f, "f1": f1, "f2": f2, "beta1": b1, "beta2": b2}
-
-    return run
+def _commuting_diagram(map_id, stream, corrupt, f, f1, f2, beta1, beta2):
+    square = SquareSolution.solve(map_id.system, f, f1, f2, beta1, beta2)
+    return check_commuting_diagram(map_id, square, corrupt=corrupt), None
 
 
-def _case_functional_relations(map_id: MapId, corrupt: bool, first=None):
-    def run(stream: RationalStream):
-        b1, b2 = _draw_params(_param_maker(map_id.system, stream), 2, False, first)
-        x = _draw_point(map_id, stream)
-        y = _draw_point(map_id, stream)
-        p, q = apply_map(map_id, x, y, b1, b2)
-        if corrupt:
-            # the relations eliminate the multipliers, so a corrupted
-            # multiplier cannot break them; shift the candidate image instead
-            p = YBPoint(tuple(c + 1 for c in p.first), p.second)
-        residuals = functional_relation_residuals(map_id, x, y, p, q)
-        ok = all(r == 0 for r in residuals)
-        drawn = {"x": x, "y": y, "beta1": b1, "beta2": b2, "residuals": residuals}
-        return ok, drawn
-
-    return run
+def _functional_relations(map_id, stream, corrupt, x, y, beta1, beta2):
+    p, q = apply_map(map_id, x, y, beta1, beta2)
+    if corrupt:
+        # the relations eliminate the multipliers, so a corrupted
+        # multiplier cannot break them; shift the candidate image instead
+        p = YBPoint(tuple(c + 1 for c in p.first), p.second)
+    residuals = functional_relation_residuals(map_id, x, y, p, q)
+    return all(r == 0 for r in residuals), {"residuals": residuals}
 
 
-def _case_non_quadrirational(map_id: MapId, corrupt: bool, first=None):
+def _non_quadrirational(map_id, stream, corrupt, x, y, beta1, beta2):
     block = p_independent_block(map_id)
+    replacement = tuple(stream.next() for _ in range(map_id.block_size()))
+    if replacement == (x.first if block == "first" else x.second):
+        # any change works; shifting keeps the draw deterministic
+        replacement = tuple(c + 1 for c in replacement)
+    p, _ = apply_map(map_id, x, y, beta1, beta2, corrupt=corrupt)
+    p2, _ = apply_map(
+        map_id, replace_block(x, block, replacement), y, beta1, beta2, corrupt=corrupt
+    )
+    return p2 == p, {"replaced_block": block, "replacement": replacement}
 
-    def run(stream: RationalStream):
-        b1, b2 = _draw_params(_param_maker(map_id.system, stream), 2, False, first)
-        x = _draw_point(map_id, stream)
-        y = _draw_point(map_id, stream)
-        replacement = tuple(stream.next() for _ in range(map_id.block_size()))
-        old = x.first if block == "first" else x.second
-        if replacement == old:
-            # any change works; shifting keeps the draw deterministic
-            replacement = tuple(c + 1 for c in replacement)
-        p, _ = apply_map(map_id, x, y, b1, b2, corrupt=corrupt)
-        p2, _ = apply_map(
-            map_id, replace_block(x, block, replacement), y, b1, b2,
-            corrupt=corrupt,
-        )
-        drawn = {
-            "x": x, "y": y, "beta1": b1, "beta2": b2,
-            "replaced_block": block, "replacement": replacement,
-        }
-        return p2 == p, drawn
 
-    return run
+class _Case(NamedTuple):
+    """What one sample of a property draws, and the law it tests on the draw.
+
+    law(subject, stream, corrupt, **drawn) returns the verdict and the
+    extra dump entries, or None; the subject is the parent system of a
+    family property's target, and the map otherwise.  A NamedTuple, not
+    a dataclass: it is built at import, which the set-up time counts.
+    """
+
+    law: Callable
+    params: int
+    points: tuple = ()
+    distinct: bool = False
+    field: bool = False
+    family: bool = False
+
+
+_CASES = {
+    Property.YB: _Case(_yb, 3, ("x", "y", "z"), distinct=True),
+    Property.UNITARITY: _Case(_unitarity, 2, ("x", "y")),
+    Property.CONSISTENCY_3D: _Case(
+        _consistency, 3, ("f", "f1", "f2", "f3"), field=True, family=True
+    ),
+    Property.BRAID: _Case(_braid, 0, family=True),
+    Property.ZERO_CURVATURE: _Case(_zero_curvature, 2, ("x", "y")),
+    Property.COMMUTING_DIAGRAM: _Case(
+        _commuting_diagram, 2, ("f", "f1", "f2"), field=True
+    ),
+    Property.FUNCTIONAL_RELATIONS: _Case(_functional_relations, 2, ("x", "y")),
+    Property.NON_QUADRIRATIONAL: _Case(_non_quadrirational, 2, ("x", "y")),
+}
+
+_BETAS = ("beta1", "beta2", "beta3")
 
 
 def _resolve_case(target, prop: Property, corrupt: bool, first=None):
     if corrupt and prop not in CORRUPTIBLE:
         raise ValueError(f"property {prop.value} has no corruption fixture")
-    if prop is Property.CONSISTENCY_3D:
-        return _case_consistency(target_system(target), first)
-    if prop is Property.BRAID:
-        if first is not None:
-            raise ValueError("property braid does not take a pinned parameter")
-        system = target_system(target)
-        if not system.spec.braid:
-            raise ValueError(
-                f"braid laws apply to chains of family e1 or vnls, not {target.label()}"
-            )
-        return _case_braid(system.components())
-    if not isinstance(target, MapId):
+    law, count, points, distinct, field, family = _CASES[prop]
+    if first is not None and not count:
+        raise ValueError(f"property {prop.value} does not take a pinned parameter")
+    system = target_system(target)
+    if not family and not isinstance(target, MapId):
         raise ValueError(f"property {prop.value} needs a map id, not a family")
-    if prop is Property.ZERO_CURVATURE:
-        if not target.spec.zero_curvature:
-            raise ValueError("zero-curvature verification covers e1-shaded only")
-        return _case_zero_curvature(target, corrupt, first)
-    cases = {
-        Property.YB: _case_yb,
-        Property.UNITARITY: _case_unitarity,
-        Property.COMMUTING_DIAGRAM: _case_commuting_diagram,
-        Property.FUNCTIONAL_RELATIONS: _case_functional_relations,
-        Property.NON_QUADRIRATIONAL: _case_non_quadrirational,
-    }
-    return cases[prop](target, corrupt, first)
+    if prop is Property.BRAID and not system.spec.braid:
+        raise ValueError(
+            f"braid laws apply to chains of family e1 or vnls, not {target.label()}"
+        )
+    if prop is Property.ZERO_CURVATURE and not target.spec.zero_curvature:
+        raise ValueError("zero-curvature verification covers e1-shaded only")
+    subject = system if family else target
+    draw, owner = (_draw_field_point, system) if field else (_draw_point, target)
+    names = points + _BETAS[:count]
+
+    def run(stream: RationalStream):
+        params = _draw_params(_param_maker(system, stream), count, distinct, first)
+        drawn = dict(zip(names, [draw(owner, stream) for _ in points] + list(params)))
+        ok, extras = law(subject, stream, corrupt, **drawn)
+        if extras:
+            drawn.update(extras)
+        return ok, drawn
+
+    return run
 
 
 def sweep(
@@ -456,3 +423,38 @@ def sweep(
     return VerificationReport(
         target.label(), prop, n, valid, passed, skipped, first_failure
     )
+
+
+CATALOG_MAPS = (
+    MapId.e1_shaded(), MapId.e1_blank(), MapId.e2(), MapId.e3(),
+    MapId.e4(Fraction(7, 3)), MapId.e4_eps0_scaling(), MapId.e4_eps0_joint(),
+    MapId.e5(), MapId.vnls(3),
+)
+CATALOG_SYSTEMS = (
+    QuadSystem.e1(), QuadSystem.e2(), QuadSystem.e3(),
+    QuadSystem.e4(Fraction(7, 3)), QuadSystem.e5(1), QuadSystem.vnls(3),
+)
+# the properties every catalog map is swept for
+MAP_PROPERTIES = (
+    Property.YB, Property.UNITARITY, Property.COMMUTING_DIAGRAM,
+    Property.FUNCTIONAL_RELATIONS, Property.NON_QUADRIRATIONAL,
+)
+
+
+def plan():
+    """Every (target, property) sweep of the catalog, in report order.
+
+    The map properties run on every catalog map, zero-curvature on the
+    maps with a Lax pair, consistency-3d on every catalog system and
+    braid on the systems whose chains `chains` runs.
+    """
+    for map_id in CATALOG_MAPS:
+        for prop in MAP_PROPERTIES:
+            yield map_id, prop
+        if map_id.spec.zero_curvature:
+            yield map_id, Property.ZERO_CURVATURE
+    for system in CATALOG_SYSTEMS:
+        yield system, Property.CONSISTENCY_3D
+    for system in CATALOG_SYSTEMS:
+        if system.spec.braid:
+            yield system, Property.BRAID

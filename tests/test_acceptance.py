@@ -11,12 +11,13 @@ import io
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+from draws import draw_point, param_maker
 from yblattice.chains import transfer_step
 from yblattice.cli import main
 from yblattice.exactnum import GammaPair, RationalStream, gamma_pair_from_slope
 from yblattice.lax import moebius_p1
 from yblattice.quadgraph import FieldPoint, QuadData, QuadSystem, SingularInput, evolve_quad
-from yblattice.verify import Property, sweep
+from yblattice.verify import CATALOG_MAPS, CATALOG_SYSTEMS, Property, sweep
 from yblattice.ybmaps import (
     MapId,
     YBPoint,
@@ -26,48 +27,10 @@ from yblattice.ybmaps import (
     replace_block,
 )
 
-NINE_MAPS = (
-    MapId.e1_shaded(),
-    MapId.e1_blank(),
-    MapId.e2(),
-    MapId.e3(),
-    MapId.e4(Fraction(7, 3)),
-    MapId.e4_eps0_scaling(),
-    MapId.e4_eps0_joint(),
-    MapId.e5(),
-    MapId.vnls(3),
-)
-
-SIX_SYSTEMS = (
-    QuadSystem.e1(),
-    QuadSystem.e2(),
-    QuadSystem.e3(),
-    QuadSystem.e4(Fraction(7, 3)),
-    QuadSystem.e5(1),
-    QuadSystem.vnls(3),
-)
-
-
-def param_maker(map_id: MapId, stream: RationalStream):
-    label = map_id.label()
-    if label == "e5":
-        return lambda: gamma_pair_from_slope(stream.next_nonzero(), 1)
-    if label.startswith("e4"):
-        return stream.next_nonzero
-    return stream.next
-
-
-def draw_point(map_id: MapId, stream: RationalStream) -> YBPoint:
-    n = map_id.block_size()
-    return YBPoint(
-        tuple(stream.next() for _ in range(n)),
-        tuple(stream.next() for _ in range(n)),
-    )
-
 
 def test_criterion_01_yang_baxter(criterion):
     with criterion(1, "parameter-dependent Yang-Baxter relation"):
-        for map_id in NINE_MAPS:
+        for map_id in CATALOG_MAPS:
             report = sweep(map_id, Property.YB, seed=42, n=100, bound=10)
             assert report.samples_valid >= 90, report.to_json()
             assert report.samples_passed == report.samples_valid, report.to_json()
@@ -75,11 +38,11 @@ def test_criterion_01_yang_baxter(criterion):
 
 def test_criterion_02_unitarity_and_inverse(criterion):
     with criterion(2, "unitarity and explicit inverse"):
-        for map_id in NINE_MAPS:
+        for map_id in CATALOG_MAPS:
             report = sweep(map_id, Property.UNITARITY, seed=42, n=100, bound=10)
             assert report.samples_valid >= 90, report.to_json()
             assert report.samples_passed == report.samples_valid, report.to_json()
-        for map_id in NINE_MAPS:
+        for map_id in CATALOG_MAPS:
             stream = RationalStream(42, 10)
             make = param_maker(map_id, stream)
             valid = 0
@@ -101,7 +64,7 @@ def test_criterion_02_unitarity_and_inverse(criterion):
 
 def test_criterion_03_consistency_around_cube(criterion):
     with criterion(3, "three-dimensional consistency"):
-        for system in SIX_SYSTEMS:
+        for system in CATALOG_SYSTEMS:
             report = sweep(system, Property.CONSISTENCY_3D, seed=42, n=100, bound=10)
             assert report.samples_valid == 100, report.to_json()
             assert report.samples_passed == 100, report.to_json()
@@ -117,7 +80,7 @@ def test_criterion_04_path_flip_relations(criterion):
 
 def test_criterion_05_commuting_diagram_and_relations(criterion):
     with criterion(5, "lattice squares match the map"):
-        for map_id in NINE_MAPS:
+        for map_id in CATALOG_MAPS:
             for prop in (Property.COMMUTING_DIAGRAM, Property.FUNCTIONAL_RELATIONS):
                 report = sweep(map_id, prop, seed=42, n=100, bound=10)
                 assert report.samples_valid >= 90, report.to_json()
@@ -150,7 +113,7 @@ def test_criterion_06_zero_curvature(criterion):
 
 def test_criterion_07_degenerations(criterion):
     with criterion(7, "degenerations and identity limits"):
-        for map_id in NINE_MAPS:
+        for map_id in CATALOG_MAPS:
             stream = RationalStream(42, 10)
             make = param_maker(map_id, stream)
             done = 0
@@ -164,7 +127,7 @@ def test_criterion_07_degenerations(criterion):
                     continue
                 done += 1
                 assert (p, q) == (y, x), map_id.label()
-        for system in SIX_SYSTEMS:
+        for system in CATALOG_SYSTEMS:
             stream = RationalStream(42, 10)
             n = system.components()
             done = 0
@@ -227,7 +190,7 @@ def test_criterion_07_degenerations(criterion):
 
 def test_criterion_08_non_quadrirational_direction(criterion):
     with criterion(8, "one output ignores one input coordinate"):
-        for map_id in NINE_MAPS:
+        for map_id in CATALOG_MAPS:
             stream = RationalStream(42, 10)
             make = param_maker(map_id, stream)
             block = p_independent_block(map_id)

@@ -53,6 +53,17 @@ def test_verify_out_file(tmp_path):
     assert json.loads(target.read_text())["map"] == "e2"
 
 
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_verify_unwritable_out_is_a_usage_error(tmp_path, where):
+    dest = str(tmp_path / where)
+    code, out, err = run(
+        ["verify", "--map", "e1-shaded", "--property", "yb", "--samples", "3", "--out", dest]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out: ") and err.count("\n") == 1
+
+
 def test_verify_unknown_map():
     code, _, err = run(["verify", "--map", "nosuch", "--property", "yb"])
     assert code == 2
@@ -238,6 +249,14 @@ def test_simulate_out_file(tmp_path):
     assert code == 0
     assert out == ""
     assert len(target.read_text().strip().split("\n")) == 5
+
+
+def test_simulate_unwritable_out_is_a_usage_error(tmp_path):
+    dest = str(tmp_path / "missing" / "orbit.csv")
+    code, out, err = run(["simulate", "--period", "3", "--sweeps", "2", "--out", dest])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out: ") and err.count("\n") == 1
 
 
 def test_reruns_are_byte_identical():

@@ -1,7 +1,7 @@
 """Pinned outputs: reports must match the files under tests/golden byte for byte.
 
 The catalog files hold one `VerificationReport.to_json()` per (target,
-property) pair of `scripts/run_full_verification.py`; the corrupt files
+property) pair of `yblattice.verify.plan()`; the corrupt files
 hold the stdout of `verify --corrupt`, failure dump included, for every
 property with a corruption fixture on every map it covers; the cli files
 hold the stdout of `simulate` runs (one of them ending in a singular
@@ -13,7 +13,6 @@ CHANGES.md.  To rewrite them from the current code:
 
 from __future__ import annotations
 
-import importlib.util
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -21,22 +20,12 @@ from pathlib import Path
 import pytest
 
 from yblattice.cli import main
-from yblattice.verify import sweep
+from yblattice.verify import plan, sweep
 
 ROOT = Path(__file__).resolve().parent
 GOLDEN = ROOT / "golden"
 SEED, SAMPLES, BOUND = 42, 30, 10
-
-
-def _load_plan():
-    script = ROOT.parent / "scripts" / "run_full_verification.py"
-    spec = importlib.util.spec_from_file_location("run_full_verification", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return list(module.plan())
-
-
-PLAN = _load_plan()
+PLAN = list(plan())
 
 MAPS = (
     "e1-shaded", "e1-blank", "e2", "e3", "e4",

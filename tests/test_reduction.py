@@ -12,25 +12,13 @@ from yblattice.reduction import (
     SquareSolution,
     check_commuting_diagram,
     invariants_from_square,
-    parent_system,
 )
+from yblattice.verify import CATALOG_MAPS
 from yblattice.ybmaps import MapId, YBPoint, apply_map
-
-ALL_MAPS = (
-    MapId.e1_shaded(),
-    MapId.e1_blank(),
-    MapId.e2(),
-    MapId.e3(),
-    MapId.e4(Fraction(7, 3)),
-    MapId.e4_eps0_scaling(),
-    MapId.e4_eps0_joint(),
-    MapId.e5(),
-    MapId.vnls(3),
-)
 
 
 def random_square(map_id: MapId, stream: RationalStream) -> SquareSolution:
-    system = parent_system(map_id)
+    system = map_id.system
     n = system.components()
 
     def field() -> FieldPoint:
@@ -51,12 +39,12 @@ def random_square(map_id: MapId, stream: RationalStream) -> SquareSolution:
 
 
 def test_parent_systems():
-    assert parent_system(MapId.e1_shaded()) == QuadSystem.e1()
-    assert parent_system(MapId.e1_blank()) == QuadSystem.e1()
-    assert parent_system(MapId.e4(Fraction(7, 3))) == QuadSystem.e4(Fraction(7, 3))
-    assert parent_system(MapId.e4_eps0_joint()) == QuadSystem.e4(Fraction(0))
-    assert parent_system(MapId.e5()) == QuadSystem.e5(1)
-    assert parent_system(MapId.vnls(4)) == QuadSystem.vnls(4)
+    assert MapId.e1_shaded().system == QuadSystem.e1()
+    assert MapId.e1_blank().system == QuadSystem.e1()
+    assert MapId.e4(Fraction(7, 3)).system == QuadSystem.e4(Fraction(7, 3))
+    assert MapId.e4_eps0_joint().system == QuadSystem.e4(Fraction(0))
+    assert MapId.e5().system == QuadSystem.e5(1)
+    assert MapId.vnls(4).system == QuadSystem.vnls(4)
 
 
 def test_square_constructor_validates_the_face():
@@ -145,7 +133,7 @@ def test_invariants_name_singular_corner():
         invariants_from_square(MapId.e1_shaded(), s)
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_diagram_commutes_on_sampled_squares(map_id):
     stream = RationalStream(13, 10)
     done = 0
@@ -159,7 +147,7 @@ def test_diagram_commutes_on_sampled_squares(map_id):
         assert ok
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_corrupted_map_breaks_the_diagram(map_id):
     stream = RationalStream(19, 10)
     seen = 0

@@ -2,34 +2,24 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from yblattice import chains
+from yblattice import chains, verify
 from yblattice.errors import RetryBudgetExhausted
 from yblattice.exactnum import gamma_pair_from_slope
 from yblattice.quadgraph import QuadSystem
 from yblattice.verify import (
+    CATALOG_MAPS,
     CORRUPTIBLE,
+    MAP_PROPERTIES,
     Property,
     TripleState,
-    check_unitarity,
     check_yb_relation,
     sweep,
 )
-from yblattice.ybmaps import MapId, YBPoint
-
-ALL_MAPS = (
-    MapId.e1_shaded(),
-    MapId.e1_blank(),
-    MapId.e2(),
-    MapId.e3(),
-    MapId.e4(Fraction(7, 3)),
-    MapId.e4_eps0_scaling(),
-    MapId.e4_eps0_joint(),
-    MapId.e5(),
-    MapId.vnls(3),
-)
+from yblattice.ybmaps import MapId, YBPoint, apply_inverse, apply_map
 
 
 def test_property_values_are_the_cli_names():
@@ -66,13 +56,10 @@ def test_yb_relation_on_a_direct_triple():
 
 
 def test_unitarity_on_a_direct_pair():
-    assert check_unitarity(
-        MapId.e3(),
-        YBPoint.of(Fraction(1), Fraction(4)),
-        YBPoint.of(Fraction(2), Fraction(7)),
-        Fraction(1),
-        Fraction(0),
-    )
+    x = YBPoint.of(Fraction(1), Fraction(4))
+    y = YBPoint.of(Fraction(2), Fraction(7))
+    p, q = apply_map(MapId.e3(), x, y, Fraction(1), Fraction(0))
+    assert apply_inverse(MapId.e3(), p, q, Fraction(1), Fraction(0)) == (x, y)
 
 
 @pytest.mark.parametrize("prop", sorted(CORRUPTIBLE, key=lambda p: p.value))
@@ -149,15 +136,9 @@ def test_pinned_first_parameter_appears_in_every_sample():
     assert report.all_passed()
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_all_map_properties_pass_small_sweeps(map_id):
-    for prop in (
-        Property.YB,
-        Property.UNITARITY,
-        Property.COMMUTING_DIAGRAM,
-        Property.FUNCTIONAL_RELATIONS,
-        Property.NON_QUADRIRATIONAL,
-    ):
+    for prop in MAP_PROPERTIES:
         if prop is Property.NON_QUADRIRATIONAL and map_id.block_size() != 1:
             continue
         report = sweep(map_id, prop, n=15)
@@ -177,3 +158,34 @@ def test_braid_sweep_fails_on_a_corrupted_face(monkeypatch, corrupted_face, syst
     assert report.samples_valid > 0
     assert report.samples_passed < report.samples_valid
     assert "path" in report.to_json_dict()["first_failure"]
+
+
+def _never_consistent(*args):
+    return SimpleNamespace(consistent=False)
+
+
+def _identity_map(map_id, x, y, beta1, beta2, *, corrupt=False):
+    return x, y
+
+
+# failing dumps of the properties without a --corrupt fixture, forced by a
+# patched check; no golden file records their keys
+UNCOVERED_DUMPS = (
+    (QuadSystem.e1(), Property.CONSISTENCY_3D, verify, "check_consistency_3d",
+     _never_consistent, ["f", "f1", "f2", "f3", "beta1", "beta2", "beta3"]),
+    (QuadSystem.vnls(2), Property.BRAID, chains, "evolve_quad", None, ["path"]),
+    (MapId.e1_shaded(), Property.NON_QUADRIRATIONAL, verify, "apply_map",
+     _identity_map, ["x", "y", "beta1", "beta2", "replaced_block", "replacement"]),
+)
+
+
+@pytest.mark.parametrize(
+    "target,prop,module,name,patch,keys", UNCOVERED_DUMPS, ids=[c[1].value for c in UNCOVERED_DUMPS]
+)
+def test_failure_dump_keys_of_uncovered_properties(
+    monkeypatch, corrupted_face, target, prop, module, name, patch, keys
+):
+    monkeypatch.setattr(module, name, patch or corrupted_face)
+    report = sweep(target, prop, seed=5, n=10)
+    assert report.samples_passed < report.samples_valid
+    assert list(report.to_json_dict()["first_failure"]) == keys

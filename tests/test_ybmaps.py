@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from draws import draw_point, param_maker
 from yblattice import verify
 from yblattice.errors import SingularInput
 from yblattice.exactnum import GammaPair, RationalStream, gamma_pair_from_slope
-from yblattice.reduction import parent_system
+from yblattice.verify import CATALOG_MAPS
 from yblattice.ybmaps import (
     MAP_SPECS,
     MapId,
@@ -22,35 +23,6 @@ from yblattice.ybmaps import (
     p_independent_block,
     replace_block,
 )
-
-ALL_MAPS = (
-    MapId.e1_shaded(),
-    MapId.e1_blank(),
-    MapId.e2(),
-    MapId.e3(),
-    MapId.e4(Fraction(7, 3)),
-    MapId.e4_eps0_scaling(),
-    MapId.e4_eps0_joint(),
-    MapId.e5(),
-    MapId.vnls(3),
-)
-
-
-def param_maker(map_id: MapId, stream: RationalStream):
-    label = map_id.label()
-    if label == "e5":
-        return lambda: gamma_pair_from_slope(stream.next_nonzero(), 1)
-    if label.startswith("e4"):
-        return stream.next_nonzero
-    return stream.next
-
-
-def draw_point(map_id: MapId, stream: RationalStream) -> YBPoint:
-    n = map_id.block_size()
-    return YBPoint(
-        tuple(stream.next() for _ in range(n)),
-        tuple(stream.next() for _ in range(n)),
-    )
 
 
 def draw_case(map_id: MapId, stream: RationalStream):
@@ -99,7 +71,7 @@ def test_worked_example_residuals():
     )
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_multipliers_match_their_displays(map_id):
     # each multiplier is recomputed here from scratch and compared with
     # the named intermediate the map exposes
@@ -125,7 +97,7 @@ def test_multipliers_match_their_displays(map_id):
             assert len(m["S"]) == 3
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_equal_parameters_swap_arguments(map_id):
     stream = RationalStream(23, 10)
     make = param_maker(map_id, stream)
@@ -142,7 +114,7 @@ def test_equal_parameters_swap_arguments(map_id):
         assert (p, q) == (y, x)
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_inverse_round_trip(map_id):
     stream = RationalStream(29, 10)
     done = 0
@@ -157,7 +129,7 @@ def test_inverse_round_trip(map_id):
         assert back == (x, y)
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_residuals_vanish_on_the_image(map_id):
     stream = RationalStream(31, 10)
     done = 0
@@ -271,7 +243,7 @@ def test_catalog_covers_the_cli_identifiers():
     assert list(MAP_SPECS) == list(MapTag)
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_spec_names_the_computed_multipliers(map_id):
     stream = RationalStream(5, 10)
     while True:
@@ -284,19 +256,19 @@ def test_spec_names_the_computed_multipliers(map_id):
 
 
 @pytest.mark.parametrize(
-    "map_id", ALL_MAPS + (MapId.vnls(1), MapId.e4(0)), ids=lambda m: m.label()
+    "map_id", CATALOG_MAPS + (MapId.vnls(1), MapId.e4(0)), ids=lambda m: m.label()
 )
 def test_block_size_is_the_parent_component_count(map_id):
-    assert map_id.block_size() == parent_system(map_id).components()
+    assert map_id.block_size() == map_id.system.components()
 
 
-@pytest.mark.parametrize("map_id", ALL_MAPS, ids=lambda m: m.label())
+@pytest.mark.parametrize("map_id", CATALOG_MAPS, ids=lambda m: m.label())
 def test_map_draws_the_parameters_of_its_parent_family(map_id):
     # param_maker is the rule each map's formulas need (nonzero for the e4
     # maps, conic points for e5); sweeps draw by the parent family instead
     by_map, by_family = RationalStream(3, 10), RationalStream(3, 10)
     make_map = param_maker(map_id, by_map)
-    make_family = verify._param_maker(parent_system(map_id), by_family)
+    make_family = verify._param_maker(map_id.system, by_family)
     assert [make_map() for _ in range(200)] == [make_family() for _ in range(200)]
     assert by_map.index == by_family.index
 
