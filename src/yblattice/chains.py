@@ -31,7 +31,6 @@ from .exactnum import Rational, RationalStream, format_rational
 from .quadgraph import FieldPoint, QuadData, QuadSystem, evolve_quad
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,10 @@ class PathState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
+        object.__setattr__(
+            self, "alphas",
+            tuple(a if type(a) is Rational else Rational(a) for a in self.alphas),
+        )
         if len(self.vertices) < 2:
             raise ValueError("a path needs at least two vertices")
         counts = {p.components() for p in self.vertices}

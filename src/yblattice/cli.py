@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
-from fractions import Fraction
 
 from .chains import csv_header, csv_row, flip, random_path, transfer_step
 from .errors import RetryBudgetExhausted, SingularInput, ZeroSlope
-from .exactnum import RationalStream, gamma_pair_from_slope, parse_rational
+from .exactnum import Rational, RationalStream, gamma_pair_from_slope, parse_rational
 from .quadgraph import FAMILY_SPECS, EdgeKind, QuadSystem
 from .verify import Property, sweep, target_system
 from .ybmaps import MAP_SPECS, MapId
@@ -114,7 +114,7 @@ def _id_params(extra: str | None, map_str: str, args, epsilon) -> dict:
     if ":" in map_str:
         raise ConfigError(f"--map: unknown id {map_str!r} (see list-maps)")
     if extra == "epsilon":
-        return {"epsilon": epsilon if epsilon is not None else Fraction(1)}
+        return {"epsilon": epsilon if epsilon is not None else Rational(1)}
     if extra == "delta":
         return {"delta": args.delta if args.delta is not None else 1}
     return {}
@@ -223,10 +223,10 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_flip_script(text: str) -> list:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
+    # int() would also take "1_0", " 1" and other scripts' digits
+    if not re.fullmatch(r"[+-]?[0-9]+(,[+-]?[0-9]+)*", text):
         raise ConfigError(f"--flips: expected comma-separated integers, got {text!r}")
+    return [int(part) for part in text.split(",")]
 
 
 def _cmd_simulate(args) -> int:

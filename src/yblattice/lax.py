@@ -23,13 +23,12 @@ from .exactnum import Rational
 from .ybmaps import YBPoint
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 Matrix2 = tuple
 
 
 def _mat(a, b, c, d) -> Matrix2:
-    return ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
+    return ((Rational(a), Rational(b)), (Rational(c), Rational(d)))
 
 
 def _mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:

@@ -36,7 +36,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .errors import IncompatibleAction, SingularInput, ZeroScale
 from .exactnum import GammaPair, Rational
@@ -103,7 +102,7 @@ class QuadSystem:
 
     @classmethod
     def e4(cls, epsilon: Rational) -> "QuadSystem":
-        return cls(Family.E4, epsilon=Fraction(epsilon))
+        return cls(Family.E4, epsilon=Rational(epsilon))
 
     @classmethod
     def e5(cls, delta: int) -> "QuadSystem":
@@ -160,7 +159,7 @@ class QuadData:
 
 
 def _dot(a: tuple, b: tuple) -> Rational:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b)), Rational(0))
 
 
 def _require_edge_params(system: QuadSystem, b1: EdgeParam, b2: EdgeParam) -> None:

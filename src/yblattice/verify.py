@@ -43,6 +43,7 @@ from .chains import PathState, check_flip_laws, random_path
 from .errors import RetryBudgetExhausted, SingularInput
 from .exactnum import (
     GammaPair,
+    Rational,
     RationalStream,
     format_rational,
     gamma_pair_from_slope,
@@ -427,12 +428,12 @@ def sweep(
 
 CATALOG_MAPS = (
     MapId.e1_shaded(), MapId.e1_blank(), MapId.e2(), MapId.e3(),
-    MapId.e4(Fraction(7, 3)), MapId.e4_eps0_scaling(), MapId.e4_eps0_joint(),
+    MapId.e4(Rational(7, 3)), MapId.e4_eps0_scaling(), MapId.e4_eps0_joint(),
     MapId.e5(), MapId.vnls(3),
 )
 CATALOG_SYSTEMS = (
     QuadSystem.e1(), QuadSystem.e2(), QuadSystem.e3(),
-    QuadSystem.e4(Fraction(7, 3)), QuadSystem.e5(1), QuadSystem.vnls(3),
+    QuadSystem.e4(Rational(7, 3)), QuadSystem.e5(1), QuadSystem.vnls(3),
 )
 # the properties every catalog map is swept for
 MAP_PROPERTIES = (

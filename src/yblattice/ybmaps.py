@@ -113,7 +113,7 @@ class MapId:
 
     @classmethod
     def e4(cls, epsilon: Rational) -> "MapId":
-        return cls(MapTag.E4_GENERIC, epsilon=Fraction(epsilon))
+        return cls(MapTag.E4_GENERIC, epsilon=Rational(epsilon))
 
     @classmethod
     def e4_eps0_scaling(cls) -> "MapId":
@@ -141,8 +141,8 @@ class MapId:
 
 
 def _fractions(block) -> tuple:
-    # Fraction(c) of a Fraction builds a copy; keep the given object instead
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in block)
+    # Rational(c) of a Fraction builds a copy; keep the given object instead
+    return tuple(c if isinstance(c, Fraction) else Rational(c) for c in block)
 
 
 @dataclass(frozen=True)
@@ -423,7 +423,7 @@ def _mults_vnls(x, y, b1, b2, map_id):
     for i, c in enumerate(x.first):
         _nonzero(c, f"x1[{i}]")
     T = 1 - sum(
-        (y2i / x1i for x1i, y2i in zip(x.first, y.second)), Fraction(0)
+        (y2i / x1i for x1i, y2i in zip(x.first, y.second)), Rational(0)
     )
     _nonzero(T, "1 - sum(y2/x1)")
     S = tuple(1 + (b1 - b2) / (x1i * T) for x1i in x.first)
@@ -670,12 +670,12 @@ MAP_SPECS: dict[MapTag, MapSpec] = {
         "e4-eps0-scaling", "e4 (epsilon 0)", "(ratio, ratio)", "b1, b2 rational",
         ("P", "Q"), "scaling-invariant reduction of e4 at epsilon 0",
         _mults_e4_eps0_scaling, _finish_e4_eps0_scaling, _res_ratio_weighted,
-        _inv_ratio_ratio, lambda m: QuadSystem.e4(Fraction(0))),
+        _inv_ratio_ratio, lambda m: QuadSystem.e4(0)),
     MapTag.E4_EPS0_JOINT: MapSpec(
         "e4-eps0-joint", "e4 (epsilon 0)", "(joint ratios)", "b1, b2 rational",
         ("P",), "joint translation-scaling reduction of e4 at epsilon 0",
         _mults_e4_eps0_joint, _finish_e4_eps0_joint, _res_e4_eps0_joint,
-        _inv_joint_ratios, lambda m: QuadSystem.e4(Fraction(0))),
+        _inv_joint_ratios, lambda m: QuadSystem.e4(0)),
     MapTag.E5_DELTA1: MapSpec(
         "e5", "e5 (delta 1)", "(ratio, ratio)", "GammaPair per edge",
         ("P", "Q"), "scaling reduction of e5; edge parameters on a conic",

@@ -78,6 +78,16 @@ def test_verify_malformed_rational_flag():
     assert "--epsilon" in err
 
 
+# an Arabic-Indic three, a trailing newline and a fullwidth one
+@pytest.mark.parametrize("epsilon", ["\u0663/4", "3/4\n", "\uff11/2"])
+def test_verify_epsilon_takes_ascii_digits_only(epsilon):
+    code, out, err = run(
+        ["verify", "--map", "e4", "--epsilon", epsilon, "--property", "yb"]
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: --epsilon")
+
+
 def test_flag_scope_is_enforced():
     cases = (
         ["verify", "--map", "e3", "--property", "yb", "--delta", "0"],
@@ -239,6 +249,14 @@ def test_simulate_argument_validation():
     for argv in cases:
         code, _, err = run(argv)
         assert code == 2, argv
+
+
+@pytest.mark.parametrize("flips", ["1_0", " 1", "\u0663", "1,,2", "3,4\n"])
+def test_simulate_flips_take_ascii_digit_lists_only(flips):
+    code, out, err = run(["simulate", "--length", "12", "--flips", flips])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --flips: expected comma-separated integers, got {flips!r}\n"
 
 
 def test_simulate_out_file(tmp_path):

@@ -1,22 +1,28 @@
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from yblattice import exactnum
+from yblattice import cli, exactnum, lax, quadgraph, verify
+from yblattice.chains import PathState
 from yblattice.errors import ZeroSlope
 from yblattice.exactnum import (
     GammaPair,
+    Rational,
     RationalStream,
     format_rational,
     gamma_pair_from_slope,
     parse_rational,
     sample_rational,
 )
+from yblattice.quadgraph import FieldPoint, QuadSystem
+from yblattice.ybmaps import MapId, YBPoint, map_multipliers
 
 
 def test_parse_plain_and_fraction():
@@ -25,7 +31,14 @@ def test_parse_plain_and_fraction():
     assert parse_rational("+4/6") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("text", ["", "1.5", "1e3", " 1", "1 ", "1/-2", "a/b", "1//2"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "1.5", "1e3", " 1", "1 ", "1/-2", "a/b", "1//2",
+        # a trailing newline, Arabic-Indic and fullwidth digits
+        "3/4\n", "\u0663/4", "3/\u0664", "\uff11/2",
+    ],
+)
 def test_parse_rejects_non_literals(text):
     with pytest.raises(ValueError):
         parse_rational(text)
@@ -48,6 +61,94 @@ def test_format_past_the_int_digit_limit():
     assert format_rational(Fraction(big, 7)) == "3" + "0" * 4998 + "1/7"
     assert format_rational(Fraction(-big)) == "-3" + "0" * 4998 + "1"
     assert format_rational(Fraction(1, 10**5000)) == "1/1" + "0" * 5000
+
+
+_BIG = 2**5000
+_INTS = st.one_of(st.integers(-50, 50), st.integers(-_BIG, _BIG))
+# small denominators share factors, which the reductions must cancel
+_FRACTIONS = st.builds(
+    Fraction, _INTS, st.one_of(st.integers(1, 12), _INTS.filter(bool))
+)
+_OPERANDS = st.one_of(
+    _FRACTIONS.map(Rational),
+    _FRACTIONS,
+    _INTS,
+    st.booleans(),
+    st.floats(),
+)
+_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _plain(value):
+    return Fraction(value) if type(value) is Rational else value
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except (ZeroDivisionError, OverflowError) as err:
+        return type(err)
+
+
+@given(_FRACTIONS.map(Rational), _OPERANDS, st.sampled_from(_OPS))
+@example(Rational(1, 6), Fraction(1, 6), operator.add)
+@example(Rational(5, 6), Rational(1, 6), operator.sub)
+# division by a zero of every operand type, in both orders
+@example(Rational(0), 1, operator.truediv)
+@example(Rational(0), Fraction(3, 4), operator.truediv)
+@example(Rational(3, 4), False, operator.truediv)
+@example(Rational(3, 4), 0.0, operator.truediv)
+def test_rational_arithmetic_matches_fraction(a, b, op):
+    for x, y in ((a, b), (b, a)):
+        got, want = _outcome(op, x, y), _outcome(op, _plain(x), _plain(y))
+        if isinstance(want, type):
+            assert got is want
+        elif isinstance(want, float):
+            assert type(got) is float and repr(got) == repr(want)
+        else:
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert hash(got) == hash(want) and str(got) == str(want)
+            if {type(x), type(y)} <= {int, Fraction, Rational}:
+                assert type(got) is Rational
+                assert got.denominator > 0
+                assert math.gcd(got.numerator, got.denominator) == 1
+        assert (x == y) == (_plain(x) == _plain(y))
+    assert type(-a) is Rational and -a == -Fraction(a)
+    assert hash(a) == hash(Fraction(a)) and str(a) == str(Fraction(a))
+
+
+def test_every_coercion_site_makes_rationals():
+    args = cli.build_parser().parse_args(["verify", "--map", "e4", "--property", "yb"])
+    path = PathState(
+        (FieldPoint(Fraction(1), Fraction(2)), FieldPoint(Fraction(3), Fraction(4))),
+        (Fraction(1, 2),),
+    )
+    vnls = map_multipliers(
+        MapId.vnls(1), YBPoint.of(Fraction(2), Fraction(1)),
+        YBPoint.of(Fraction(3), Fraction(5)), Fraction(1), Fraction(0),
+    )
+    pair = gamma_pair_from_slope(Fraction(2), 1)
+    made = {
+        "sampler": sample_rational(1, 0, 10),
+        "parse_rational": parse_rational("3/4"),
+        "gamma_pair beta": pair.beta,
+        "gamma_pair gamma": pair.gamma,
+        "YBPoint int": YBPoint.of(2, True).first[0],
+        "PathState alpha": path.alphas[0],
+        "lax._mat": lax.lax_matrix(Fraction(1), Fraction(2), Fraction(3)).c1[1][1],
+        "MapId.e4": MapId.e4(2).epsilon,
+        "QuadSystem.e4": QuadSystem.e4(2).epsilon,
+        "cli default epsilon": cli._resolve_target(args).epsilon,
+        "catalog map epsilon": next(
+            m.epsilon for m in verify.CATALOG_MAPS if m.epsilon is not None
+        ),
+        "catalog system epsilon": next(
+            s.epsilon for s in verify.CATALOG_SYSTEMS if s.epsilon is not None
+        ),
+        "quadgraph._dot": quadgraph._dot((Fraction(1),), (Fraction(2),)),
+        "vnls multiplier": vnls["S"][0],
+    }
+    assert {site: type(v) for site, v in made.items()} == dict.fromkeys(made, Rational)
 
 
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=997))

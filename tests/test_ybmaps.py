@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from draws import draw_point, param_maker
 from yblattice import verify
 from yblattice.errors import SingularInput
-from yblattice.exactnum import GammaPair, RationalStream, gamma_pair_from_slope
+from yblattice.exactnum import GammaPair, Rational, RationalStream, gamma_pair_from_slope
 from yblattice.verify import CATALOG_MAPS
 from yblattice.ybmaps import (
     MAP_SPECS,
@@ -34,7 +34,9 @@ def test_point_makes_fractions_and_keeps_given_ones():
     a, b = Fraction(3, 4), Fraction(-5, 2)
     point = YBPoint((a, 2), (True, b))
     assert point == YBPoint((Fraction(3, 4), Fraction(2)), (Fraction(1), Fraction(-5, 2)))
-    assert [type(c) for c in point.first + point.second] == [Fraction] * 4
+    assert [type(c) for c in point.first + point.second] == [
+        Fraction, Rational, Rational, Fraction
+    ]
     assert point.first[0] is a and point.second[1] is b
 
 
