@@ -31,6 +31,17 @@ class ConfigError(Exception):
     """A flag combination the run cannot start from; always exit code 2."""
 
 
+# int() would also take "1_0", " 1" and other scripts' digits
+_INT = r"[+-]?[0-9]+"
+
+
+def _ascii_int(text: str) -> int:
+    """argparse type of the integer flags: an optional sign and ASCII digits."""
+    if not re.fullmatch(_INT, text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yblattice",
@@ -43,37 +54,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="map id, or family id for consistency-3d and braid")
     v.add_argument("--property", required=True,
                    choices=[p.value for p in Property])
-    v.add_argument("--samples", type=int, default=100)
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--bound", type=int, default=10)
+    v.add_argument("--samples", type=_ascii_int, default=100)
+    v.add_argument("--seed", type=_ascii_int, default=42)
+    v.add_argument("--bound", type=_ascii_int, default=10)
     v.add_argument("--epsilon", default=None, metavar="P/Q",
                    help="lattice parameter of map e4 (default 1)")
-    v.add_argument("--delta", type=int, default=None, choices=(0, 1),
+    v.add_argument("--delta", type=_ascii_int, default=None, choices=(0, 1),
                    help="conic constant for family e5 (default 1)")
     v.add_argument("--gamma-slope", default=None, metavar="P/Q",
                    help="pin the first e5 edge parameter via its chord slope")
-    v.add_argument("--dim", type=int, default=None, metavar="N",
+    v.add_argument("--dim", type=_ascii_int, default=None, metavar="N",
                    help="components per block for vnls (default 1)")
     v.add_argument("--out", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     v.add_argument("--format", default="json", choices=("json", "csv"))
     v.add_argument("--corrupt", action="store_true",
                    help="verify against the corrupted fixture; sweeps must fail")
-    v.add_argument("--retry-budget", type=int, default=25,
+    v.add_argument("--retry-budget", type=_ascii_int, default=25,
                    help="redraws allowed per sample before it is skipped")
 
     s = sub.add_parser("simulate",
                        help="run transfer sweeps or a flip script, write CSV")
-    s.add_argument("--period", type=int, default=None, metavar="N",
+    s.add_argument("--period", type=_ascii_int, default=None, metavar="N",
                    help="periodic chain size (with --sweeps)")
-    s.add_argument("--sweeps", type=int, default=None, metavar="M",
+    s.add_argument("--sweeps", type=_ascii_int, default=None, metavar="M",
                    help="number of transfer sweeps to run")
-    s.add_argument("--length", type=int, default=None, metavar="L",
+    s.add_argument("--length", type=_ascii_int, default=None, metavar="L",
                    help="open path vertex count (with --flips)")
     s.add_argument("--flips", default=None, metavar="K,K,...",
                    help="comma-separated interior flip indices")
-    s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--bound", type=int, default=10)
+    s.add_argument("--seed", type=_ascii_int, default=42)
+    s.add_argument("--bound", type=_ascii_int, default=10)
     s.add_argument("--out", default=None, metavar="PATH")
 
     sub.add_parser("list-maps", help="print the map catalog")
@@ -223,8 +234,7 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_flip_script(text: str) -> list:
-    # int() would also take "1_0", " 1" and other scripts' digits
-    if not re.fullmatch(r"[+-]?[0-9]+(,[+-]?[0-9]+)*", text):
+    if not re.fullmatch(rf"{_INT}(,{_INT})*", text):
         raise ConfigError(f"--flips: expected comma-separated integers, got {text!r}")
     return [int(part) for part in text.split(",")]
 

@@ -6,14 +6,15 @@ denominator, reduced).  Serialized form is "p/q" with "/q" omitted when the
 denominator is 1, which is exactly `str()` of a Fraction.
 
 `Rational` changes only the cost of `+ - * /` (with their reflected forms),
-unary `-` and `==`.  With an exact `int`, `Fraction` or `Rational` operand they
-run CPython's own reductions (Knuth, TAOCP vol. 2, 4.5.1) directly on the
-two integers and build the result without the generic constructor; any
-other operand goes to the `Fraction` method.  A `Rational` is a `Fraction`,
-so `str`, `hash`, ordering and equality agree with the Fraction's, and a plain
-`Fraction` mixed with a `Rational` yields a `Rational` (Python tries the
-subclass's reflected method first).  Sampling, parsing and every other
-place the package makes a scalar yield `Rational`s.
+unary `-`, `==` and `< <= > >=`.  With an exact `int`, `Fraction` or
+`Rational` operand they run CPython's own reductions (Knuth, TAOCP vol. 2,
+4.5.1) or cross-multiplications directly on the two integers and build any
+result without the generic constructor; any other operand goes to the
+`Fraction` method.  A `Rational` is a `Fraction`, so `str`, `hash`,
+ordering and equality agree with the Fraction's, and a plain `Fraction`
+mixed with a `Rational` yields a `Rational` (Python tries the subclass's
+reflected method first).  Sampling, parsing and every other place the
+package makes a scalar yield `Rational`s.
 
 Sampling is deterministic: `sample_rational(seed, index, bound)` is a pure
 function of its arguments, so any run with the same seed reproduces
@@ -28,6 +29,7 @@ drawn integers are larger.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -130,6 +132,25 @@ def _operators(kernel, fallback, rfallback):
     return forward, reverse
 
 
+def _ordering(op, fallback):
+    """`a op b` for one ordering, cross-multiplied on the positive denominators.
+
+    The operands take the same paths as in `_operators`.  No reflected form
+    is needed: `x < a` with `a` a `Rational` is `a > x`.
+    """
+
+    def compare(a, b):
+        t = type(b)
+        if t is Rational or t is Fraction:
+            return op(a._numerator * b._denominator, b._numerator * a._denominator)
+        if t is int:
+            return op(a._numerator, b * a._denominator)
+        return fallback(a, b)
+
+    compare.__name__ = fallback.__name__
+    return compare
+
+
 class Rational(Fraction):
     """A `Fraction` whose arithmetic skips the generic dispatch and constructor."""
 
@@ -158,6 +179,11 @@ class Rational(Fraction):
 
     # defining __eq__ would otherwise set __hash__ to None
     __hash__ = Fraction.__hash__
+
+    __lt__ = _ordering(operator.lt, Fraction.__lt__)
+    __le__ = _ordering(operator.le, Fraction.__le__)
+    __gt__ = _ordering(operator.gt, Fraction.__gt__)
+    __ge__ = _ordering(operator.ge, Fraction.__ge__)
 
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

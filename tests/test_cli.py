@@ -88,6 +88,41 @@ def test_verify_epsilon_takes_ascii_digits_only(epsilon):
     assert out == "" and err.startswith("error: --epsilon")
 
 
+# a digit separator, surrounding whitespace, an Arabic-Indic four and a
+# fullwidth one: int() takes each of them
+@pytest.mark.parametrize("value", ["1_0", " 4", "4\n", "\u0664", "\uff11"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--map", "e3", "--property", "yb"], "--samples"),
+        (["verify", "--map", "e3", "--property", "yb"], "--seed"),
+        (["verify", "--map", "e3", "--property", "yb"], "--bound"),
+        (["verify", "--map", "e3", "--property", "yb"], "--retry-budget"),
+        (["verify", "--map", "e5", "--property", "consistency-3d"], "--delta"),
+        (["verify", "--map", "vnls", "--property", "yb"], "--dim"),
+        (["simulate", "--sweeps", "2"], "--period"),
+        (["simulate", "--period", "4"], "--sweeps"),
+        (["simulate", "--flips", "1"], "--length"),
+        (["simulate", "--period", "4", "--sweeps", "2"], "--seed"),
+        (["simulate", "--period", "4", "--sweeps", "2"], "--bound"),
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + [flag, value])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert out == ""
+    assert f"argument {flag}: expected an integer, got {value!r}" in err
+
+
+def test_integer_flags_take_signed_ascii_digits():
+    args = build_parser().parse_args(
+        ["simulate", "--period", "+4", "--sweeps", "2", "--seed", "-3"]
+    )
+    assert (args.period, args.sweeps, args.seed) == (4, 2, -3)
+
+
 def test_flag_scope_is_enforced():
     cases = (
         ["verify", "--map", "e3", "--property", "yb", "--delta", "0"],

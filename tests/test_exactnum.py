@@ -117,6 +117,25 @@ def test_rational_arithmetic_matches_fraction(a, b, op):
     assert hash(a) == hash(Fraction(a)) and str(a) == str(Fraction(a))
 
 
+_ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@given(_FRACTIONS.map(Rational), _OPERANDS)
+@example(Rational(1, 6), Fraction(1, 6))
+@example(Rational(-1, 3), -1)
+@example(Rational(1), True)
+@example(Rational(0), False)
+@example(Rational(1, 2), 0.5)
+@example(Rational(3, 4), math.nan)
+@example(Rational(3, 4), math.inf)
+@example(Rational(-3, 4), -math.inf)
+def test_rational_ordering_matches_fraction(a, b):
+    for x, y in ((a, b), (b, a)):
+        for op in _ORDERINGS:
+            got, want = op(x, y), op(_plain(x), _plain(y))
+            assert type(got) is bool and got == want, (op, x, y)
+
+
 def test_every_coercion_site_makes_rationals():
     args = cli.build_parser().parse_args(["verify", "--map", "e4", "--property", "yb"])
     path = PathState(
