@@ -14,7 +14,10 @@ result without the generic constructor; any other operand goes to the
 ordering and equality agree with the Fraction's, and a plain `Fraction`
 mixed with a `Rational` yields a `Rational` (Python tries the subclass's
 reflected method first).  Sampling, parsing and every other place the
-package makes a scalar yield `Rational`s.
+package makes a scalar yield `Rational`s.  One compound kernel,
+`_y_over_one_minus_yz`, serves the e1 lattice face: it builds the quotient
+from the four integers at once and takes gcds only against the primes that
+can cancel, never between two products.
 
 Sampling is deterministic: `sample_rational(seed, index, bound)` is a pure
 function of its arguments, so any run with the same seed reproduces
@@ -104,6 +107,51 @@ def _div(na, da, nb, db):
     return r
 
 
+def _y_over_one_minus_yz(y, z):
+    """y / (1 - y*z); ZeroDivisionError when y*z = 1.
+
+    With y = p/q and z = s/t in lowest terms (q, t > 0) the quotient is
+    p*t / (q*t - p*s).  A prime dividing both sides divides gcd(p, t): if
+    it divides p it divides q*t, hence t, as gcd(p, q) = 1; if it divides
+    t it divides p*s, hence p, as gcd(s, t) = 1.  So the fraction is
+    reduced by its gcd with the part of the denominator built from the
+    primes of gcd(p, t): every gcd has one side made of those primes, and
+    none is taken between two double-width products.
+    Operands that are not exactly `int`, `Fraction` or `Rational` take the
+    textbook expression, as in `_operators`.
+    """
+    if type(y) not in _EXACT or type(z) not in _EXACT:
+        den = 1 - y * z
+        if den == 0:
+            raise ZeroDivisionError("1 - y*z")
+        return y / den
+    p, q, s, t = y.numerator, y.denominator, z.numerator, z.denominator
+    n, d = p * t, q * t - p * s
+    if not d:
+        raise ZeroDivisionError("1 - y*z")
+    h = _gcd(d, _gcd(p, t))
+    if h > 1:
+        # common: the largest divisor of d made of the primes of h.  Each
+        # round takes the gcd with all of common, not with the last h, so
+        # a prime's exponent in common at least doubles per round.
+        common, rest = h, d // h
+        h = _gcd(rest, common)
+        while h > 1:
+            common *= h
+            rest //= h
+            h = _gcd(rest, common)
+        g = _gcd(n, common)
+        if g > 1:
+            n //= g
+            d //= g
+    if d < 0:
+        n, d = -n, -d
+    r = _new(Rational)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
 def _operators(kernel, fallback, rfallback):
     """`a op b` and its reflected form for one integer kernel.
 
@@ -184,6 +232,10 @@ class Rational(Fraction):
     __le__ = _ordering(operator.le, Fraction.__le__)
     __gt__ = _ordering(operator.gt, Fraction.__gt__)
     __ge__ = _ordering(operator.ge, Fraction.__ge__)
+
+
+# operand types that `_y_over_one_minus_yz` reads as integer pairs
+_EXACT = frozenset({int, Fraction, Rational})
 
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

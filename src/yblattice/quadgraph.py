@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import IncompatibleAction, SingularInput, ZeroScale
-from .exactnum import GammaPair, Rational
+from .exactnum import GammaPair, Rational, _y_over_one_minus_yz
 
 Field = Rational | tuple
 EdgeParam = Rational | GammaPair
@@ -181,10 +181,13 @@ def _require_edge_params(system: QuadSystem, b1: EdgeParam, b2: EdgeParam) -> No
 
 
 def _rhs_e1(system, x, y, z, b1, b2):
-    den = 1 - y * z
-    if den == 0:
-        raise SingularInput("1 - y*z")
-    return x + (b1 - b2) * y / den
+    # y/(1 - y*z) comes reduced from integers: its only cancellations are
+    # by primes of gcd(num(y), den(z)); see `_y_over_one_minus_yz`
+    try:
+        quotient = _y_over_one_minus_yz(y, z)
+    except ZeroDivisionError:
+        raise SingularInput("1 - y*z") from None
+    return x + (b1 - b2) * quotient
 
 
 def _rhs_e2(system, x, y, z, b1, b2):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from unittest import mock
 
@@ -234,11 +235,26 @@ def test_transfer_preserves_parameter_multiset():
         assert Counter(state.alphas) == reference
 
 
+def textbook_transfer(us: list, vs: list, alphas: list) -> None:
+    """One transfer step of a scalar periodic chain, in place, on plain Fractions."""
+    n = len(us)
+    for k in (step % n for step in range(1, n + 1)):
+        u_prev, v_next = us[k - 1], vs[(k + 1) % n]
+        r = (alphas[k - 1] - alphas[k]) / (1 - u_prev * v_next)
+        us[k] += r * u_prev
+        vs[k] -= r * v_next
+        alphas[k - 1], alphas[k] = alphas[k], alphas[k - 1]
+
+
 def test_transfer_period_two_stays_exact():
     state = nonsingular_path(11, 2, periodic=True)
+    us = [Fraction(v.u) for v in state.vertices]
+    vs = [Fraction(v.v) for v in state.vertices]
+    alphas = [Fraction(a) for a in state.alphas]
     bits = []
     for _ in range(60):
         state = transfer_step(state)
+        textbook_transfer(us, vs, alphas)
         bits.append(
             max(
                 max(abs(v.u.denominator), abs(v.v.denominator)).bit_length()
@@ -246,6 +262,11 @@ def test_transfer_period_two_stays_exact():
             )
         )
     assert all(isinstance(v.u, Fraction) for v in state.vertices)
+    assert [v.u for v in state.vertices] == us
+    assert [v.v for v in state.vertices] == vs
+    assert list(state.alphas) == alphas
+    for c in (c for v in state.vertices for c in (v.u, v.v)):
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
     # growth is polynomial: quadrupling the sweep count must not square
     # the size the way exponential growth would
     assert bits[-1] < 40 * max(bits[14], 1)

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from yblattice.errors import IncompatibleAction, SingularInput, ZeroScale
-from yblattice.exactnum import RationalStream, gamma_pair_from_slope
+from yblattice.exactnum import (
+    Rational,
+    RationalStream,
+    _y_over_one_minus_yz,
+    gamma_pair_from_slope,
+)
 from yblattice.quadgraph import (
     FAMILY_SPECS,
     Family,
@@ -256,3 +262,73 @@ def test_e1_evolution_matches_scalar_rhs(seed):
     assert f12.v == quad_rhs(
         system, data.f.v, data.f2.v, data.f1.u, data.beta2, data.beta1
     )
+
+
+# Numerators and denominators made of 2, 3 and 5 only, so that gcd(p, t)
+# and gcd(s, q) of y = p/q and z = s/t are often above 1 and repeated:
+# exactly the cancellations y/(1 - y*z) must carry out.
+SMOOTH = st.builds(
+    lambda a, b, c: 2**a * 3**b * 5**c,
+    st.integers(0, 9),
+    st.integers(0, 5),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def smooth_scalars(draw):
+    num = draw(st.sampled_from((-1, 0, 1))) * draw(SMOOTH)
+    kind = draw(st.sampled_from((int, Fraction, Rational)))
+    return num if kind is int else kind(num, draw(SMOOTH))
+
+
+def textbook_e1(x, y, z, b1, b2):
+    return x + (b1 - b2) * y / (1 - y * z)
+
+
+def assert_reduced_rational(value):
+    assert type(value) is Rational
+    assert value.denominator > 0
+    assert gcd(value.numerator, value.denominator) == 1
+
+
+@given(smooth_scalars(), smooth_scalars(), smooth_scalars(), smooth_scalars(), smooth_scalars())
+def test_e1_rhs_is_exact_and_reduced(x, y, z, b1, b2):
+    fx, fy, fz, fb1, fb2 = (Fraction(c) for c in (x, y, z, b1, b2))
+    assume(fy * fz != 1)
+    quotient = _y_over_one_minus_yz(y, z)
+    assert quotient == fy / (1 - fy * fz)
+    assert_reduced_rational(quotient)
+    value = quad_rhs(QuadSystem.e1(), x, y, z, b1, b2)
+    assert value == textbook_e1(fx, fy, fz, fb1, fb2)
+    assert_reduced_rational(value)
+
+
+@given(smooth_scalars(), st.sampled_from((Fraction, Rational)))
+def test_e1_rhs_names_unit_product(y, kind):
+    assume(y != 0)
+    z = kind(1 / Fraction(y))
+    with pytest.raises(SingularInput, match=r"^1 - y\*z$"):
+        quad_rhs(QuadSystem.e1(), Fraction(3), y, z, Fraction(2), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "x, y, z, b1, b2",
+    [
+        (0.5, 0.25, -2.0, 3.0, 1.0),
+        (Rational(1, 3), 0.5, Rational(1, 4), 3, 1),
+        (Fraction(1, 3), True, False, 2, True),
+        (Rational(2), True, Fraction(1, 2), Rational(5), 0),
+    ],
+)
+def test_e1_rhs_foreign_operands_take_the_textbook_expression(x, y, z, b1, b2):
+    value = quad_rhs(QuadSystem.e1(), x, y, z, b1, b2)
+    want = textbook_e1(x, y, z, b1, b2)
+    assert value == want
+    assert type(value) is type(want)
+
+
+@pytest.mark.parametrize("y, z", [(0.5, 2.0), (True, True), (True, Fraction(1))])
+def test_e1_rhs_foreign_unit_product_is_singular(y, z):
+    with pytest.raises(SingularInput, match=r"^1 - y\*z$"):
+        quad_rhs(QuadSystem.e1(), Fraction(3), y, z, Fraction(2), Fraction(1))
