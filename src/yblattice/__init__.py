@@ -23,7 +23,6 @@ from .quadgraph import (
     FieldPoint,
     QuadData,
     QuadSystem,
-    check_consistency_3d,
     evolve_quad,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "FieldPoint",
     "QuadData",
     "QuadSystem",
-    "check_consistency_3d",
     "evolve_quad",
     "MapId",
     "YBPoint",

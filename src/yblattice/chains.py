@@ -1,11 +1,13 @@
 """Local flips on paths of field values and transfer sweeps on periodic chains.
 
-A path state carries vertex values (u_j, v_j) and one parameter per edge.
-The flip at an interior vertex replaces that vertex by the opposite corner
-of the face spanned by its two neighbors and swaps the two adjacent edge
-parameters; every other vertex and parameter is untouched.  Flips are exact
-involutions and satisfy braid and distant-commutation laws, all verified
-at once on an open path by `check_flip_laws`.
+A path state carries vertex values (u_j, v_j), one parameter per edge and
+the lattice system whose face it runs.  The flip at an interior vertex
+replaces that vertex by the opposite corner of the face spanned by its
+two neighbors and swaps the two adjacent edge parameters; every other
+vertex and parameter is untouched.  Flips are exact involutions, and on
+a family consistent around the cube they satisfy braid and
+distant-commutation laws, all verified at once on an open path by
+`check_flip_laws`.
 
 On a periodic chain the fixed left-to-right sweep of all flips is one
 transfer step.  The sweep order is a convention of this package; only the
@@ -19,44 +21,66 @@ in the period.  The flip-law checks apply words of flips to plain lists
 and remember each prefix, so every distinct flip is one face update and
 no intermediate state becomes a `PathState`.
 
-Paths are abstract sequences.  Scalar vertices evolve by the basic lattice
-face equation, vector vertices by its multicomponent variant with the
-inner-product denominator; both come from `quadgraph.evolve_quad`.
+The engine is the only code that glues faces together.  It runs every
+path through the face of the path's own system, `quadgraph.evolve_quad`,
+so all families of `FAMILY_SPECS` flip alike: scalar or vector, with
+rational or `GammaPair` edge parameters.  The cube check of `verify` is
+its braid word (1, 2, 1) = (2, 1, 2) on a path of four vertices.
 """
 
 from __future__ import annotations
 
 from .errors import IndexOutOfRange, SingularInput
-from .exactnum import Rational, RationalStream, format_rational
-from .quadgraph import FieldPoint, QuadData, QuadSystem, evolve_quad
+from .exactnum import (
+    GammaPair,
+    Rational,
+    RationalStream,
+    format_rational,
+    gamma_pair_from_slope,
+)
+from .quadgraph import EdgeKind, FieldPoint, QuadData, QuadSystem, evolve_quad
 
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class PathState:
-    """Vertex values and edge parameters of one path.
+    """Vertex values and edge parameters of one path, and the system it runs.
 
     Open: edge j joins vertices j and j+1, one parameter fewer than
     vertices.  Periodic: indices are mod N and the last edge closes the
-    cycle, so the counts match.
+    cycle, so the counts match.  Without a system, scalar vertices run
+    e1 and n-vectors run vnls(n).
     """
 
     vertices: tuple
     alphas: tuple
     periodic: bool = False
+    system: QuadSystem | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(
             self, "alphas",
-            tuple(a if type(a) is Rational else Rational(a) for a in self.alphas),
+            tuple(
+                a if type(a) is Rational or type(a) is GammaPair else Rational(a)
+                for a in self.alphas
+            ),
         )
         if len(self.vertices) < 2:
             raise ValueError("a path needs at least two vertices")
         counts = {p.components() for p in self.vertices}
         if len(counts) != 1:
             raise ValueError("all vertices must share one component count")
+        (n,) = counts
+        if self.system is None:
+            system = QuadSystem.e1() if n == 1 else QuadSystem.vnls(n)
+            object.__setattr__(self, "system", system)
+        elif self.system.components() != n:
+            raise ValueError(
+                f"system {self.system.label()} takes "
+                f"{self.system.components()} components, got {n}"
+            )
         want = len(self.vertices) if self.periodic else len(self.vertices) - 1
         if len(self.alphas) != want:
             raise ValueError(
@@ -65,10 +89,6 @@ class PathState:
 
     def components(self) -> int:
         return self.vertices[0].components()
-
-
-def _face_system(components: int) -> QuadSystem:
-    return QuadSystem.e1() if components == 1 else QuadSystem.vnls(components)
 
 
 def _flip_into(vertices: list, alphas: list, k: int, system: QuadSystem) -> None:
@@ -95,10 +115,11 @@ def _flip_into(vertices: list, alphas: list, k: int, system: QuadSystem) -> None
 def flip(path: PathState, k: int) -> PathState:
     """Flip vertex k across the face of its neighbors, swapping its alphas.
 
-    The new value is u~_k = u_k + (a_prev - a_cur) u_prev / (1 - u_prev v_next)
-    and v~_k = v_k - (a_prev - a_cur) v_next / (1 - u_prev v_next), with the
-    inner product in the denominator for vector fields.  On an open path k
-    must be interior; on a periodic one any k is taken mod N.
+    The new value is the top corner of the path system's face on vertex
+    k, its neighbors and their edge parameters (a_prev, a_cur).  On e1
+    that is u~_k = u_k + (a_prev - a_cur) u_prev / (1 - u_prev v_next) and
+    v~_k = v_k - (a_prev - a_cur) v_next / (1 - u_prev v_next).  On an
+    open path k must be interior; on a periodic one any k is taken mod N.
     """
     n = len(path.vertices)
     if path.periodic:
@@ -108,8 +129,8 @@ def flip(path: PathState, k: int) -> PathState:
             f"flip index {k} is not interior to a path of {n} vertices"
         )
     vertices, alphas = list(path.vertices), list(path.alphas)
-    _flip_into(vertices, alphas, k, _face_system(path.components()))
-    return PathState(tuple(vertices), tuple(alphas), path.periodic)
+    _flip_into(vertices, alphas, k, path.system)
+    return PathState(tuple(vertices), tuple(alphas), path.periodic, path.system)
 
 
 class _FlipWords(dict):
@@ -122,7 +143,7 @@ class _FlipWords(dict):
 
     def __init__(self, path: PathState) -> None:
         super().__init__({(): (list(path.vertices), list(path.alphas))})
-        self.system = _face_system(path.components())
+        self.system = path.system
 
     def __missing__(self, word: tuple) -> tuple:
         vertices, alphas = (list(x) for x in self[word[:-1]])
@@ -161,13 +182,32 @@ def transfer_step(path: PathState) -> PathState:
         raise ValueError("transfer sweeps are defined on periodic chains")
     n = len(path.vertices)
     vertices, alphas = list(path.vertices), list(path.alphas)
-    system = _face_system(path.components())
+    system = path.system
     for step in range(1, n + 1):
         try:
             _flip_into(vertices, alphas, step % n, system)
         except SingularInput as err:
             raise SingularInput(f"sweep position {step}: {err}") from err
-    return PathState(tuple(vertices), tuple(alphas), True)
+    return PathState(tuple(vertices), tuple(alphas), True, system)
+
+
+def _param_maker(system: QuadSystem, stream: RationalStream):
+    """Maker of edge parameters of the system's kind: nonzero for e4, conic points for e5."""
+    kind = system.spec.edge
+    if kind is EdgeKind.GAMMA:
+        return lambda: gamma_pair_from_slope(stream.next_nonzero(), system.delta)
+    if kind is EdgeKind.NONZERO:
+        return stream.next_nonzero
+    return stream.next
+
+
+def _draw_field_point(system: QuadSystem, stream: RationalStream) -> FieldPoint:
+    """One vertex value of the system: u, then v, n components each for vnls(n)."""
+    if system.spec.vector:
+        u = tuple(stream.next() for _ in range(system.n))
+        v = tuple(stream.next() for _ in range(system.n))
+        return FieldPoint(u, v)
+    return FieldPoint(stream.next(), stream.next())
 
 
 def random_path(
@@ -175,21 +215,13 @@ def random_path(
     count: int,
     *,
     periodic: bool = False,
-    components: int = 1,
+    system: QuadSystem = QuadSystem.e1(),
 ) -> PathState:
-    """Seeded path with `count` vertices: parameters first, then values."""
-    edges = count if periodic else count - 1
-    alphas = tuple(stream.next() for _ in range(edges))
-
-    def point() -> FieldPoint:
-        if components == 1:
-            return FieldPoint(stream.next(), stream.next())
-        u = tuple(stream.next() for _ in range(components))
-        v = tuple(stream.next() for _ in range(components))
-        return FieldPoint(u, v)
-
-    vertices = tuple(point() for _ in range(count))
-    return PathState(vertices, alphas, periodic)
+    """Seeded path of the system with `count` vertices: parameters first, then values."""
+    make = _param_maker(system, stream)
+    alphas = tuple(make() for _ in range(count if periodic else count - 1))
+    vertices = tuple(_draw_field_point(system, stream) for _ in range(count))
+    return PathState(vertices, alphas, periodic, system)
 
 
 def csv_header(path: PathState) -> list:

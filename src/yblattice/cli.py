@@ -25,6 +25,7 @@ from .ybmaps import MAP_SPECS, MapId
 
 _MAP_TAGS = {tag.value: tag for tag in MAP_SPECS}
 _FAMILIES = {family.value: family for family in FAMILY_SPECS}
+_FAMILY_PROPERTIES = (Property.CONSISTENCY_3D.value, Property.BRAID.value)
 
 
 class ConfigError(Exception):
@@ -134,8 +135,8 @@ def _id_params(extra: str | None, map_str: str, args, epsilon) -> dict:
 def _resolve_target(args):
     """Map or family the sweep runs against, with flag scope checks.
 
-    consistency-3d takes a family wherever the id names one; braid only
-    where the id names no map (e1).  Every other id is a map.
+    The family-level properties, consistency-3d and braid, take a family
+    wherever the id names one.  Every other id is a map.
     """
     map_str = args.map_id
     epsilon = (_flag_rational(args.epsilon, "--epsilon")
@@ -144,10 +145,7 @@ def _resolve_target(args):
         _positive(args.dim, "--dim")
     name = map_str.split(":", 1)[0]
     family = _FAMILIES.get(name)
-    if family is not None and (
-        args.property == Property.CONSISTENCY_3D.value
-        or (args.property == Property.BRAID.value and name not in _MAP_TAGS)
-    ):
+    if family is not None and args.property in _FAMILY_PROPERTIES:
         extra = FAMILY_SPECS[family].extra
         target = QuadSystem(family, **_id_params(extra, map_str, args, epsilon))
     else:
@@ -169,7 +167,8 @@ def _check_flag_scope(args, target, epsilon) -> None:
         raise ConfigError("--delta applies to e5 only")
     if args.delta == 0 and isinstance(target, MapId):
         raise ConfigError(
-            "--delta 0 is available for consistency-3d; the e5 map fixes delta 1"
+            "--delta 0 is available for consistency-3d and braid; "
+            "the e5 map fixes delta 1"
         )
     if args.gamma_slope is not None and not is_e5:
         raise ConfigError("--gamma-slope applies to e5 only")

@@ -1,4 +1,4 @@
-"""Two-field lattice systems on quadrilaterals and their cube consistency.
+"""Two-field lattice systems on quadrilaterals.
 
 A system lives on the faces of Z^2: a field point (u, v) sits at each
 vertex, every edge in lattice direction i carries a parameter, and one
@@ -23,12 +23,10 @@ family-level parameter, whether vertices are vectors and the admitted
 point symmetries.  Every function here reads the record; none branches
 on the family.
 
-`check_consistency_3d` tests the system around a cube in Z^3 through
-the configuration adapted to it: initial values on a staircase path of
-four vertices using all three lattice directions, deformed corner by
-corner across cube faces.  The two maximal deformation routes each
-evaluate three faces; consistency means they agree on every vertex both
-routes compute.
+Consistency around the cube is not checked here.  It is one braid word
+of the flip engine in `chains`: on the open path (f, f_1, f_12, f_123),
+the flip words (1, 2, 1) and (2, 1, 2) evaluate the six faces of the
+cube, and the family is consistent when they agree.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 from .errors import IncompatibleAction, SingularInput, ZeroScale
 from .exactnum import GammaPair, Rational, _y_over_one_minus_yz
@@ -176,6 +175,11 @@ def _require_edge_params(system: QuadSystem, b1: EdgeParam, b2: EdgeParam) -> No
             raise ValueError(f"edge delta {b.delta} != system delta {system.delta}")
 
 
+# exact scalars `quad_rhs` makes Rationals: `int / int` would be a float,
+# and Fraction-only arithmetic would not return a Rational
+_LOOSE = frozenset({int, Fraction})
+
+
 # Scalar right-hand sides F(x; y, z) of the scalar families.  Each checks
 # its own denominators, so SingularInput names the vanishing expression.
 
@@ -233,13 +237,20 @@ def quad_rhs(
     """Scalar right-hand side F(x; y, z) of the selected scalar family.
 
     The same function produces both field updates: u_12 = F(u, u_1, v_2,
-    b1, b2) and v_12 = F(v, v_2, u_1, b2, b1).  Raises SingularInput
-    naming the vanishing denominator.
+    b1, b2) and v_12 = F(v, v_2, u_1, b2, b1).  Operands of type exactly
+    int or Fraction become Rationals, so the result stays exact; other
+    scalars pass through untouched.  Raises SingularInput naming the
+    vanishing denominator.
     """
     rhs = system.spec.rhs
     if rhs is None:
         raise ValueError(f"{system.family} has no scalar right-hand side")
     _require_edge_params(system, b1, b2)
+    if (not type(x) is type(y) is type(z) is Rational
+            or type(b1) in _LOOSE or type(b2) in _LOOSE):
+        x, y, z, b1, b2 = (
+            Rational(a) if type(a) in _LOOSE else a for a in (x, y, z, b1, b2)
+        )
     return rhs(system, x, y, z, b1, b2)
 
 
@@ -269,71 +280,6 @@ def evolve_quad(system: QuadSystem, data: QuadData) -> FieldPoint:
             f"system expects {system.components()} components, got {data.f.components()}"
         )
     return system.spec.face(system, data)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Outcome of the cube check: both routes' values at the shared corners.
-
-    corner_3 and corner_23 hold the vertex values f_(3) and f_(2,3) as
-    computed by deformation routes (a) and (b); u_agree / v_agree state
-    whether the two routes coincide in each field at both corners.
-    """
-
-    u_agree: bool
-    v_agree: bool
-    corner_3: tuple
-    corner_23: tuple
-
-    @property
-    def consistent(self) -> bool:
-        return self.u_agree and self.v_agree
-
-
-def check_consistency_3d(
-    system: QuadSystem,
-    f: FieldPoint,
-    f1: FieldPoint,
-    f2: FieldPoint,
-    f3: FieldPoint,
-    b1: EdgeParam,
-    b2: EdgeParam,
-    b3: EdgeParam,
-) -> ConsistencyReport:
-    """Consistency around the cube from staircase initial values.
-
-    The four points sit on a path using each lattice direction once:
-    f, then f_(1) = f1, then f_(1,2) = f2, then f_(1,2,3) = f3, with
-    edge parameter b_k on the k-th path edge.  A face evaluation flips
-    the middle vertex of three consecutive path vertices to the opposite
-    face corner.  Route (a) flips at f1, then f2, then the new second
-    vertex; route (b) flips at f2, f1, then the new third vertex.  Both
-    routes land on the path f -> f_(3) -> f_(2,3) -> f3; the report says
-    whether they computed the same f_(3) and f_(2,3).
-
-    SingularInput from an intermediate face is re-raised naming the
-    route and step.
-    """
-
-    def face(cur: FieldPoint, prev: FieldPoint, nxt: FieldPoint,
-             b_prev: EdgeParam, b_cur: EdgeParam, where: str) -> FieldPoint:
-        try:
-            return evolve_quad(system, QuadData(cur, prev, nxt, b_prev, b_cur))
-        except SingularInput as err:
-            raise SingularInput(f"{where}: {err}") from err
-
-    # route (a): around the cube starting with the face at f1
-    g2 = face(f1, f, f2, b1, b2, "route (a) step 1")          # f_(2)
-    g23_a = face(f2, g2, f3, b1, b3, "route (a) step 2")      # f_(2,3)
-    g3_a = face(g2, f, g23_a, b2, b3, "route (a) step 3")     # f_(3)
-    # route (b): starting with the face at f2
-    g13 = face(f2, f1, f3, b2, b3, "route (b) step 1")        # f_(1,3)
-    g3_b = face(f1, f, g13, b1, b3, "route (b) step 2")       # f_(3)
-    g23_b = face(g13, g3_b, f3, b1, b2, "route (b) step 3")   # f_(2,3)
-
-    u_agree = g3_a.u == g3_b.u and g23_a.u == g23_b.u
-    v_agree = g3_a.v == g3_b.v and g23_a.v == g23_b.v
-    return ConsistencyReport(u_agree, v_agree, (g3_a, g3_b), (g23_a, g23_b))
 
 
 class SymmetryKind(Enum):
@@ -424,8 +370,9 @@ class FamilySpec:
     face computes f_12 from QuadData; scalar families share one face
     built from their right-hand side rhs, vector families have no rhs.
     extra names the family-level parameter, if any.  symmetries_at_zero
-    are admitted in addition when that parameter is 0.  braid says that
-    the flip engine of `chains` runs chains of this family.
+    are admitted in addition when that parameter is 0.  The lattice laws
+    (braid, consistency-3d) run paths of the family through face in the
+    flip engine of `chains`, so they check whatever face the record holds.
     """
 
     extra: str | None
@@ -435,7 +382,6 @@ class FamilySpec:
     rhs: Callable | None
     symmetries: frozenset
     symmetries_at_zero: frozenset = frozenset()
-    braid: bool = False
 
 
 _SCALE_OPP = frozenset({SymmetryKind.SCALE_OPP})
@@ -445,7 +391,7 @@ _SCALE_SAME = frozenset({SymmetryKind.SCALE_SAME})
 FAMILY_SPECS: dict[Family, FamilySpec] = {
     Family.E1: FamilySpec(
         extra=None, edge=EdgeKind.RATIONAL, vector=False, face=_scalar_face,
-        rhs=_rhs_e1, symmetries=_SCALE_OPP, braid=True),
+        rhs=_rhs_e1, symmetries=_SCALE_OPP),
     Family.E2: FamilySpec(
         extra=None, edge=EdgeKind.RATIONAL, vector=False, face=_scalar_face,
         rhs=_rhs_e2, symmetries=_SCALE_OPP),
@@ -460,5 +406,5 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         rhs=_rhs_e5, symmetries=_SCALE_SAME),
     Family.VNLS: FamilySpec(
         extra="n", edge=EdgeKind.RATIONAL, vector=True, face=_vnls_face,
-        rhs=None, symmetries=_SCALE_OPP, braid=True),
+        rhs=None, symmetries=_SCALE_OPP),
 }

@@ -39,17 +39,18 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chains import PathState, check_flip_laws, random_path
-from .errors import RetryBudgetExhausted, SingularInput
-from .exactnum import (
-    GammaPair,
-    Rational,
-    RationalStream,
-    format_rational,
-    gamma_pair_from_slope,
+from .chains import (
+    PathState,
+    _FlipWords,
+    _draw_field_point,
+    _param_maker,
+    check_flip_laws,
+    random_path,
 )
+from .errors import RetryBudgetExhausted, SingularInput
+from .exactnum import GammaPair, Rational, RationalStream, format_rational
 from .lax import check_zero_curvature
-from .quadgraph import EdgeKind, FieldPoint, QuadSystem, check_consistency_3d
+from .quadgraph import FieldPoint, QuadSystem
 from .reduction import SquareSolution, check_commuting_diagram
 from .ybmaps import (
     MapId,
@@ -207,16 +208,6 @@ def target_system(target) -> QuadSystem:
     return target if isinstance(target, QuadSystem) else target.system
 
 
-def _param_maker(system: QuadSystem, stream: RationalStream):
-    """Maker of edge parameters of the system's kind; maps pass their parent system."""
-    kind = system.spec.edge
-    if kind is EdgeKind.GAMMA:
-        return lambda: gamma_pair_from_slope(stream.next_nonzero(), system.delta)
-    if kind is EdgeKind.NONZERO:
-        return stream.next_nonzero
-    return stream.next
-
-
 def _draw_params(make, count: int, distinct: bool, first=None) -> tuple:
     params = [] if first is None else [first]
     while len(params) < count:
@@ -240,14 +231,6 @@ def _draw_point(map_id: MapId, stream: RationalStream) -> YBPoint:
     return YBPoint(first, second)
 
 
-def _draw_field_point(system: QuadSystem, stream: RationalStream) -> FieldPoint:
-    if system.spec.vector:
-        u = tuple(stream.next() for _ in range(system.n))
-        v = tuple(stream.next() for _ in range(system.n))
-        return FieldPoint(u, v)
-    return FieldPoint(stream.next(), stream.next())
-
-
 def _yb(map_id, stream, corrupt, x, y, z, beta1, beta2, beta3):
     t = TripleState(x, y, z, beta1, beta2, beta3)
     return check_yb_relation(map_id, t, corrupt=corrupt), None
@@ -261,15 +244,19 @@ def _unitarity(map_id, stream, corrupt, x, y, beta1, beta2):
 
 
 def _consistency(system, stream, corrupt, f, f1, f2, f3, beta1, beta2, beta3):
-    report = check_consistency_3d(system, f, f1, f2, f3, beta1, beta2, beta3)
-    return report.consistent, None
+    # the staircase f -> f_(1) -> f_(1,2) -> f_(1,2,3) crosses the cube in
+    # two ways, flip words (1, 2, 1) and (2, 1, 2), three faces each; both
+    # end on f -> f_(3) -> f_(2,3) -> f_(1,2,3) with alphas (b3, b2, b1)
+    path = PathState((f, f1, f2, f3), (beta1, beta2, beta3), False, system)
+    after = _FlipWords(path)
+    return after[1, 2, 1] == after[2, 1, 2], None
 
 
 _PATH_VERTICES = 8
 
 
 def _braid(system, stream, corrupt):
-    path = random_path(stream, _PATH_VERTICES, components=system.components())
+    path = random_path(stream, _PATH_VERTICES, system=system)
     return check_flip_laws(path), {"path": path}
 
 
@@ -350,10 +337,6 @@ def _resolve_case(target, prop: Property, corrupt: bool, first=None):
     system = target_system(target)
     if not family and not isinstance(target, MapId):
         raise ValueError(f"property {prop.value} needs a map id, not a family")
-    if prop is Property.BRAID and not system.spec.braid:
-        raise ValueError(
-            f"braid laws apply to chains of family e1 or vnls, not {target.label()}"
-        )
     if prop is Property.ZERO_CURVATURE and not target.spec.zero_curvature:
         raise ValueError("zero-curvature verification covers e1-shaded only")
     subject = system if family else target
@@ -446,8 +429,8 @@ def plan():
     """Every (target, property) sweep of the catalog, in report order.
 
     The map properties run on every catalog map, zero-curvature on the
-    maps with a Lax pair, consistency-3d on every catalog system and
-    braid on the systems whose chains `chains` runs.
+    maps with a Lax pair, and consistency-3d and braid on every catalog
+    system.
     """
     for map_id in CATALOG_MAPS:
         for prop in MAP_PROPERTIES:
@@ -457,5 +440,4 @@ def plan():
     for system in CATALOG_SYSTEMS:
         yield system, Property.CONSISTENCY_3D
     for system in CATALOG_SYSTEMS:
-        if system.spec.braid:
-            yield system, Property.BRAID
+        yield system, Property.BRAID

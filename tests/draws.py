@@ -2,7 +2,7 @@
 
 `param_maker` is each map's own parameter rule, written from the map's
 label: nonzero for the e4 maps, conic points for e5, any rational
-otherwise.  It stays independent of `verify._param_maker`, which draws
+otherwise.  It stays independent of `chains._param_maker`, which draws
 by the parent family and is checked against it.
 """
 

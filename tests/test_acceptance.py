@@ -16,7 +16,7 @@ from yblattice.chains import transfer_step
 from yblattice.cli import main
 from yblattice.exactnum import GammaPair, RationalStream, gamma_pair_from_slope
 from yblattice.lax import moebius_p1
-from yblattice.quadgraph import FieldPoint, QuadData, QuadSystem, SingularInput, evolve_quad
+from yblattice.quadgraph import FieldPoint, QuadData, SingularInput, evolve_quad
 from yblattice.verify import CATALOG_MAPS, CATALOG_SYSTEMS, Property, sweep
 from yblattice.ybmaps import (
     MapId,
@@ -72,7 +72,7 @@ def test_criterion_03_consistency_around_cube(criterion):
 
 def test_criterion_04_path_flip_relations(criterion):
     with criterion(4, "path flips: involution, braid, commutation"):
-        for system in (QuadSystem.e1(), QuadSystem.vnls(3)):
+        for system in CATALOG_SYSTEMS:
             report = sweep(system, Property.BRAID, seed=42, n=100, bound=10)
             assert report.samples_valid == 100, report.to_json()
             assert report.samples_passed == 100, report.to_json()

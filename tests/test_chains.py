@@ -22,8 +22,19 @@ from yblattice.chains import (
     transfer_step,
 )
 from yblattice.errors import IndexOutOfRange, SingularInput
-from yblattice.exactnum import RationalStream
-from yblattice.quadgraph import FieldPoint, evolve_quad
+from yblattice.exactnum import GammaPair, Rational, RationalStream
+from yblattice.quadgraph import FieldPoint, QuadData, QuadSystem, evolve_quad
+
+E1, VNLS2, VNLS3 = QuadSystem.e1(), QuadSystem.vnls(2), QuadSystem.vnls(3)
+SYSTEMS = (
+    E1,
+    QuadSystem.e2(),
+    QuadSystem.e3(),
+    QuadSystem.e4(Fraction(7, 3)),
+    QuadSystem.e5(1),
+    QuadSystem.e5(0),
+    VNLS3,
+)
 
 
 def scalar_path(us, vs, alphas, *, periodic=False) -> PathState:
@@ -31,8 +42,8 @@ def scalar_path(us, vs, alphas, *, periodic=False) -> PathState:
     return PathState(vertices, tuple(Fraction(a) for a in alphas), periodic=periodic)
 
 
-def nonsingular_path(seed: int, count: int, *, periodic=False, components=1) -> PathState:
-    return random_path(RationalStream(seed, 10), count, periodic=periodic, components=components)
+def nonsingular_path(seed: int, count: int, *, periodic=False, system=E1) -> PathState:
+    return random_path(RationalStream(seed, 10), count, periodic=periodic, system=system)
 
 
 def test_flip_worked_example():
@@ -82,7 +93,7 @@ def test_flip_is_an_involution(seed, k):
 
 @given(st.integers(0, 10**6))
 def test_flip_involution_on_vector_paths(seed):
-    path = nonsingular_path(seed, 6, components=3)
+    path = nonsingular_path(seed, 6, system=VNLS3)
     try:
         assert flip(flip(path, 2), 2) == path
     except SingularInput:
@@ -118,7 +129,7 @@ def test_braid_relation_vector_fields():
     seed = 0
     while checked < 30:
         seed += 1
-        path = nonsingular_path(seed, 8, components=3)
+        path = nonsingular_path(seed, 8, system=VNLS3)
         try:
             ok = check_flip_laws(path)
         except SingularInput:
@@ -171,14 +182,14 @@ def flip_laws_by_fold(path: PathState) -> bool:
 @given(
     st.integers(0, 10**6),
     st.integers(4, 9),
-    st.sampled_from([1, 3]),
+    st.sampled_from(SYSTEMS),
     st.sampled_from([1, 2, 10]),
     st.booleans(),
 )
 def test_flip_laws_match_the_fold_of_flips(
-    corrupted_face, seed, count, components, bound, corrupt
+    corrupted_face, seed, count, system, bound, corrupt
 ):
-    path = random_path(RationalStream(seed, bound), count, components=components)
+    path = random_path(RationalStream(seed, bound), count, system=system)
     face = corrupted_face if corrupt else evolve_quad
     with mock.patch.object(chains, "evolve_quad", face):
         try:
@@ -190,8 +201,8 @@ def test_flip_laws_match_the_fold_of_flips(
         assert check_flip_laws(path) == want
 
 
-@pytest.mark.parametrize("components", [1, 3])
-def test_flip_laws_make_one_face_update_per_distinct_flip(monkeypatch, components):
+@pytest.mark.parametrize("system", [E1, VNLS3], ids=lambda s: str(s.components()))
+def test_flip_laws_make_one_face_update_per_distinct_flip(monkeypatch, system):
     built, faces = [], []
     validate = PathState.__post_init__
 
@@ -205,7 +216,7 @@ def test_flip_laws_make_one_face_update_per_distinct_flip(monkeypatch, component
 
     monkeypatch.setattr(PathState, "__post_init__", counting_state)
     monkeypatch.setattr(chains, "evolve_quad", counting_face)
-    path = random_path(RationalStream(3, 10), 8, components=components)
+    path = random_path(RationalStream(3, 10), 8, system=system)
     assert check_flip_laws(path)
     # 6 flips, 6 flips back, 2 x 2 per adjacent pair, 2 per distant pair
     assert len(faces) == 6 + 6 + 5 * 4 + 10 * 2 == 52
@@ -272,9 +283,9 @@ def test_transfer_period_two_stays_exact():
     assert bits[-1] < 40 * max(bits[14], 1)
 
 
-@given(st.integers(0, 10**6), st.integers(2, 7), st.sampled_from([1, 3]))
-def test_transfer_step_is_the_fold_of_its_flips(seed, period, components):
-    path = nonsingular_path(seed, period, periodic=True, components=components)
+@given(st.integers(0, 10**6), st.integers(2, 7), st.sampled_from(SYSTEMS))
+def test_transfer_step_is_the_fold_of_its_flips(seed, period, system):
+    path = nonsingular_path(seed, period, periodic=True, system=system)
     folded = path
     try:
         for step in range(1, period + 1):
@@ -284,7 +295,7 @@ def test_transfer_step_is_the_fold_of_its_flips(seed, period, components):
             transfer_step(path)
     else:
         assert transfer_step(path) == folded
-    assert path == nonsingular_path(seed, period, periodic=True, components=components)
+    assert path == nonsingular_path(seed, period, periodic=True, system=system)
 
 
 def test_transfer_step_builds_one_path_state(monkeypatch):
@@ -314,8 +325,56 @@ def test_csv_round_trip_columns():
 
 
 def test_csv_rejects_vector_paths():
-    path = nonsingular_path(1, 4, components=2)
+    path = nonsingular_path(1, 4, system=VNLS2)
     with pytest.raises(ValueError):
         csv_header(path)
     with pytest.raises(ValueError):
         csv_row(path)
+
+
+def test_path_system_defaults_by_vertex_shape():
+    assert scalar_path([1, 3], [9, 4], [5]).system == E1
+    path = nonsingular_path(1, 4)
+    assert path.system == E1
+    assert path == PathState(path.vertices, path.alphas)
+    vector = FieldPoint((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
+    assert PathState((vector, vector), (Fraction(1),)).system == VNLS2
+
+
+def test_path_system_must_match_the_vertices():
+    vertices = tuple(FieldPoint(Fraction(i), Fraction(i + 1)) for i in range(3))
+    with pytest.raises(ValueError, match="vnls:2"):
+        PathState(vertices, (Fraction(1), Fraction(2)), system=VNLS2)
+
+
+def test_alphas_become_rationals_unless_they_are_gamma_pairs():
+    vertices = tuple(FieldPoint(Fraction(i), Fraction(i + 1)) for i in range(3))
+    path = PathState(vertices, (2, Fraction(1, 3)))
+    assert [type(a) for a in path.alphas] == [Rational, Rational]
+    e5 = random_path(RationalStream(4, 10), 5, system=QuadSystem.e5(1))
+    assert all(type(a) is GammaPair for a in e5.alphas)
+    assert PathState(e5.vertices, e5.alphas, system=e5.system) == e5
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.label())
+def test_flip_runs_the_face_of_the_path_system(system):
+    path = nonsingular_path(6, 5, system=system)
+    v, a = path.vertices, path.alphas
+    try:
+        want = evolve_quad(system, QuadData(v[2], v[1], v[3], a[1], a[2]))
+    except SingularInput:
+        pytest.skip("singular draw")
+    flipped = flip(path, 2)
+    assert flipped.vertices[2] == want
+    assert flipped.alphas == (a[0], a[2], a[1], a[3])
+    assert flipped.system is system
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.label())
+def test_transfer_steps_keep_the_system_and_the_parameter_multiset(system):
+    state = nonsingular_path(21, 5, periodic=True, system=system)
+    reference = Counter(state.alphas)
+    for _ in range(6):
+        state = transfer_step(state)
+        assert state.system is system
+        assert Counter(state.alphas) == reference

@@ -186,6 +186,17 @@ def test_family_level_braid_target():
     assert json.loads(out)["map"] == "e1"
 
 
+def test_family_names_resolve_to_the_family_for_braid():
+    code, out, _ = run(["verify", "--map", "e2", "--property", "braid", "--samples", "5"])
+    assert code == 0
+    assert json.loads(out)["map"] == "e2"
+    code, out, _ = run(
+        ["verify", "--map", "e5", "--delta", "0", "--property", "braid", "--samples", "5"]
+    )
+    assert code == 0
+    assert json.loads(out)["passed"] == json.loads(out)["valid"] == 5
+
+
 def test_corrupt_fixture_exits_one():
     code, out, _ = run(
         ["verify", "--map", "e2", "--property", "yb", "--samples", "10", "--corrupt"]

@@ -92,7 +92,7 @@ def _outputs():
 
 def test_plan_covers_the_catalog():
     names = [_catalog_name(t, p) for t, p in PLAN]
-    assert len(names) == len(set(names)) == 54
+    assert len(names) == len(set(names)) == 58
     assert sorted(names) == sorted(
         str(p.relative_to(GOLDEN)) for p in (GOLDEN / "catalog").glob("*.json")
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from yblattice.chains import PathState, _FlipWords
 from yblattice.errors import IncompatibleAction, SingularInput, ZeroScale
 from yblattice.exactnum import (
     Rational,
@@ -16,12 +17,12 @@ from yblattice.exactnum import (
 )
 from yblattice.quadgraph import (
     FAMILY_SPECS,
+    EdgeKind,
     Family,
     FieldPoint,
     QuadData,
     QuadSystem,
     apply_symmetry,
-    check_consistency_3d,
     check_symmetry_invariance,
     evolve_quad,
     quad_rhs,
@@ -82,6 +83,41 @@ def test_rhs_worked_values():
     ) == Fraction(2)
 
 
+def textbook_rhs(system: QuadSystem, x, y, z, b1, b2) -> Fraction:
+    """F(x; y, z) of each scalar family, written out in Fraction arithmetic."""
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    label = system.label()
+    if label == "e1":
+        return x + (Fraction(b1) - b2) * y / (1 - y * z)
+    if label == "e2":
+        return x + (Fraction(b2) - b1) * (y - x) / (b2 + y * z)
+    if label == "e3":
+        return x + (Fraction(b1) - b2) * (x + z) / (y + z - b1)
+    if label == "e4":
+        eps = Fraction(system.epsilon)
+        b1, b2 = Fraction(b1), Fraction(b2)
+        return x + (1 / b1 - 1 / b2) * (b1 * b2 * (x + z) * (y - x) - eps) / (
+            b2 * (x + z) + b1 * (y - x)
+        )
+    d = b1.beta - b2.beta
+    return (d * y * z + x * (b2.gamma * y + b1.gamma * z)) / (
+        d * x + b1.gamma * y + b2.gamma * z
+    )
+
+
+@pytest.mark.parametrize(
+    "system", SCALAR_SYSTEMS + (QuadSystem.e4(2),), ids=lambda s: s.label()
+)
+def test_rhs_of_int_operands_is_an_exact_rational(system):
+    if system.spec.edge is EdgeKind.GAMMA:
+        b1, b2 = gamma_pair_from_slope(4, system.delta), gamma_pair_from_slope(5, system.delta)
+    else:
+        b1, b2 = 4, 5
+    got = quad_rhs(system, 1, 2, 3, b1, b2)
+    assert type(got) is Rational
+    assert got == textbook_rhs(system, 1, 2, 3, b1, b2)
+
+
 def test_rhs_names_vanishing_denominator():
     with pytest.raises(SingularInput, match=r"1 - y\*z"):
         quad_rhs(
@@ -124,43 +160,52 @@ def test_equal_params_evolve_to_identity(system):
         assert f12 == data.f
 
 
+def cube_words(system: QuadSystem, fields, params) -> _FlipWords:
+    """Flip words of the staircase path (f, f_(1), f_(1,2), f_(1,2,3))."""
+    return _FlipWords(PathState(tuple(fields), tuple(params), system=system))
+
+
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda s: s.label())
 def test_consistency_on_sampled_cubes(system):
     stream = RationalStream(11, 10)
     make = system_params(system, stream)
     done = 0
     while done < 25:
-        fields = [random_field(system, stream) for _ in range(4)]
-        params = [make() for _ in range(3)]
+        f, f1, f2, f3 = fields = [random_field(system, stream) for _ in range(4)]
+        b1, b2, b3 = params = [make() for _ in range(3)]
         try:
-            report = check_consistency_3d(system, *fields, *params)
+            # route (a) by hand: the faces at f1, at f2, then at the new f_(2)
+            g2 = evolve_quad(system, QuadData(f1, f, f2, b1, b2))
+            g23 = evolve_quad(system, QuadData(f2, g2, f3, b1, b3))
+            g3 = evolve_quad(system, QuadData(g2, f, g23, b2, b3))
+            after = cube_words(system, fields, params)
+            route_a, route_b = after[1, 2, 1], after[2, 1, 2]
         except SingularInput:
             continue
         done += 1
-        assert report.consistent
-        assert report.corner_3[0] == report.corner_3[1]
-        assert report.corner_23[0] == report.corner_23[1]
+        assert route_a == ([f, g3, g23, f3], [b3, b2, b1])
+        assert route_b == route_a
 
 
-def test_consistency_report_flags_disagreement():
-    # a cube with two equal edge parameters degenerates both routes alike
+def test_cube_with_equal_parameters_is_flat():
+    # every face with equal edge parameters is the identity
     stream = RationalStream(2, 6)
-    f, f1, f2, f3 = (random_field(QuadSystem.e1(), stream) for _ in range(4))
+    fields = [random_field(QuadSystem.e1(), stream) for _ in range(4)]
     b = Fraction(1, 2)
-    report = check_consistency_3d(QuadSystem.e1(), f, f1, f2, f3, b, b, b)
-    assert report.consistent
+    after = cube_words(QuadSystem.e1(), fields, [b, b, b])
+    assert after[1, 2, 1] == after[2, 1, 2] == after[()]
 
 
 def test_consistency_singular_names_face():
-    system = QuadSystem.e1()
-    f = FieldPoint(Fraction(1), Fraction(1))
-    f1 = FieldPoint(Fraction(1), Fraction(3))
-    f2 = FieldPoint(Fraction(5), Fraction(1))
-    f3 = FieldPoint(Fraction(2), Fraction(2))
-    with pytest.raises(SingularInput):
-        check_consistency_3d(
-            system, f, f1, f2, f3, Fraction(1), Fraction(2), Fraction(3)
-        )
+    fields = [
+        FieldPoint(Fraction(1), Fraction(1)),
+        FieldPoint(Fraction(1), Fraction(3)),
+        FieldPoint(Fraction(5), Fraction(1)),
+        FieldPoint(Fraction(2), Fraction(2)),
+    ]
+    after = cube_words(QuadSystem.e1(), fields, [Fraction(1), Fraction(2), Fraction(3)])
+    with pytest.raises(SingularInput, match=r"flip at vertex 1: 1 - y\*z"):
+        after[1, 2, 1]
 
 
 def test_translate_action_worked_example():

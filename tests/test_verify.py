@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from yblattice import chains, verify
 from yblattice.errors import RetryBudgetExhausted
 from yblattice.exactnum import gamma_pair_from_slope
-from yblattice.quadgraph import QuadSystem
+from yblattice.quadgraph import FieldPoint, QuadSystem
 from yblattice.verify import (
     CATALOG_MAPS,
+    CATALOG_SYSTEMS,
     CORRUPTIBLE,
     MAP_PROPERTIES,
     Property,
@@ -115,8 +117,6 @@ def test_target_and_property_mismatches():
     with pytest.raises(ValueError):
         sweep(QuadSystem.e1(), Property.YB, n=1)
     with pytest.raises(ValueError):
-        sweep(MapId.e2(), Property.BRAID, n=1)
-    with pytest.raises(ValueError):
         sweep(MapId.e2(), Property.ZERO_CURVATURE, n=1)
     with pytest.raises(ValueError):
         sweep(QuadSystem.e1(), Property.CONSISTENCY_3D, n=1, corrupt=True)
@@ -151,7 +151,7 @@ def test_braid_sweep_covers_both_field_kinds():
         assert report.all_passed()
 
 
-@pytest.mark.parametrize("system", [QuadSystem.e1(), QuadSystem.vnls(3)], ids=lambda s: s.label())
+@pytest.mark.parametrize("system", CATALOG_SYSTEMS, ids=lambda s: s.label())
 def test_braid_sweep_fails_on_a_corrupted_face(monkeypatch, corrupted_face, system):
     monkeypatch.setattr(chains, "evolve_quad", corrupted_face)
     report = sweep(system, Property.BRAID, seed=7, n=20)
@@ -160,8 +160,27 @@ def test_braid_sweep_fails_on_a_corrupted_face(monkeypatch, corrupted_face, syst
     assert "path" in report.to_json_dict()["first_failure"]
 
 
-def _never_consistent(*args):
-    return SimpleNamespace(consistent=False)
+def with_shifted_face(system: QuadSystem) -> QuadSystem:
+    """A copy of the system whose spec's face adds 1 to every component of u12."""
+    face = system.spec.face
+
+    def shifted(target, data):
+        f = face(target, data)
+        u = tuple(c + 1 for c in f.u) if isinstance(f.u, tuple) else f.u + 1
+        return FieldPoint(u, f.v)
+
+    mutant = copy.copy(system)
+    object.__setattr__(mutant, "spec", dataclasses.replace(system.spec, face=shifted))
+    return mutant
+
+
+@pytest.mark.parametrize("system", CATALOG_SYSTEMS, ids=lambda s: s.label())
+@pytest.mark.parametrize("prop", [Property.BRAID, Property.CONSISTENCY_3D], ids=lambda p: p.value)
+def test_family_laws_read_the_face_of_their_target(system, prop):
+    assert sweep(system, prop, n=10).all_passed()
+    report = sweep(with_shifted_face(system), prop, n=10)
+    assert report.samples_valid > 0
+    assert report.samples_passed == 0
 
 
 def _identity_map(map_id, x, y, beta1, beta2, *, corrupt=False):
@@ -171,8 +190,8 @@ def _identity_map(map_id, x, y, beta1, beta2, *, corrupt=False):
 # failing dumps of the properties without a --corrupt fixture, forced by a
 # patched check; no golden file records their keys
 UNCOVERED_DUMPS = (
-    (QuadSystem.e1(), Property.CONSISTENCY_3D, verify, "check_consistency_3d",
-     _never_consistent, ["f", "f1", "f2", "f3", "beta1", "beta2", "beta3"]),
+    (QuadSystem.e1(), Property.CONSISTENCY_3D, chains, "evolve_quad", None,
+     ["f", "f1", "f2", "f3", "beta1", "beta2", "beta3"]),
     (QuadSystem.vnls(2), Property.BRAID, chains, "evolve_quad", None, ["path"]),
     (MapId.e1_shaded(), Property.NON_QUADRIRATIONAL, verify, "apply_map",
      _identity_map, ["x", "y", "beta1", "beta2", "replaced_block", "replacement"]),

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from draws import draw_point, param_maker
-from yblattice import verify
+from yblattice import chains
 from yblattice.errors import SingularInput
 from yblattice.exactnum import GammaPair, Rational, RationalStream, gamma_pair_from_slope
 from yblattice.verify import CATALOG_MAPS
@@ -270,7 +270,7 @@ def test_map_draws_the_parameters_of_its_parent_family(map_id):
     # maps, conic points for e5); sweeps draw by the parent family instead
     by_map, by_family = RationalStream(3, 10), RationalStream(3, 10)
     make_map = param_maker(map_id, by_map)
-    make_family = verify._param_maker(map_id.system, by_family)
+    make_family = chains._param_maker(map_id.system, by_family)
     assert [make_map() for _ in range(200)] == [make_family() for _ in range(200)]
     assert by_map.index == by_family.index
 
